@@ -1,8 +1,8 @@
 // Kernel-level microbenchmarks (google-benchmark): the Algorithm 1 update
 // across dimensions, the gosh::simd kernel tables side by side at every
 // ISA this host supports, sigmoid LUT vs exact, samplers, counting sort,
-// and a single coarsening level. These are the primitives whose costs
-// explain the table-level results.
+// a single coarsening level, and the store payload checksums. These are
+// the primitives whose costs explain the table-level results.
 //
 // Custom main: registers the per-ISA benchmarks dynamically (only the
 // tables the CPU can run), accepts `--json <file>` alongside the normal
@@ -22,6 +22,7 @@
 #include "gosh/embedding/samplers.hpp"
 #include "gosh/embedding/update.hpp"
 #include "gosh/graph/generators.hpp"
+#include "gosh/store/checksum.hpp"
 #include "report.hpp"
 
 namespace {
@@ -146,6 +147,50 @@ void BM_PositiveSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_PositiveSampling);
 
+// ---- Store payload checksums: the GSHS v2 / GSHH v2 chunked checksum
+// ---- against the byte-serial FNV-1a of v1, in bytes/s. Args: payload
+// ---- bytes, then (checksum only) pool threads (0 = the whole pool).
+
+std::vector<unsigned char> checksum_input(std::size_t bytes) {
+  std::vector<unsigned char> data(bytes);
+  Rng rng(11);
+  for (unsigned char& b : data) b = static_cast<unsigned char>(rng.next());
+  return data;
+}
+
+void BM_StoreChecksum(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const auto threads = static_cast<unsigned>(state.range(1));
+  const std::vector<unsigned char> data = checksum_input(bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store::checksum64(data.data(), bytes, threads));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_StoreChecksum)
+    ->Name("store_checksum")
+    ->Args({4 << 10, 1})
+    ->Args({1 << 20, 1})
+    ->Args({32 << 20, 1})
+    ->Args({32 << 20, 0})
+    ->UseRealTime();  // pool runs: rates over wall time, not caller CPU
+
+void BM_StoreFnv1a64(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const std::vector<unsigned char> data = checksum_input(bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store::fnv1a64(data.data(), bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_StoreFnv1a64)
+    ->Name("store_fnv1a64")
+    ->Arg(4 << 10)
+    ->Arg(1 << 20)
+    ->Arg(32 << 20);
+
 // ---- Per-ISA gosh::simd kernels, registered for every table this host
 // ---- can run: "simd_dot/avx2/128" vs "simd_dot/scalar/128" is the
 // ---- speedup the dispatch layer buys. -----------------------------------
@@ -241,6 +286,7 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   struct Captured {
     std::string name;
     double ns_per_op = 0.0;
+    double bytes_per_second = 0.0;  ///< 0 unless SetBytesProcessed ran
     unsigned threads = 1;
   };
 
@@ -265,7 +311,10 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       // derived statistics, not measurements — and their "_mean" name
       // suffix would corrupt the parsed params.
       if (failed(run) || run.run_type != Run::RT_Iteration) continue;
+      const auto bytes = run.counters.find("bytes_per_second");
       captured.push_back({run.benchmark_name(), run.GetAdjustedRealTime(),
+                          bytes == run.counters.end() ? 0.0
+                                                      : bytes->second.value,
                           static_cast<unsigned>(run.threads)});
     }
     ConsoleReporter::ReportRuns(report);
@@ -277,10 +326,12 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 // "simd_dot/avx2/128" -> name simd_dot, isa avx2, params {d: 128};
 // "BM_CountingSort/16384" -> name BM_CountingSort, params {arg: 16384},
 // isa = the active dispatch (those benches run through simd::kernels()).
+// The store_* checksum benches are throughputs and record bytes/s.
 bench::Record to_record(const CaptureReporter::Captured& run) {
   bench::Record record;
-  record.unit = "ns/op";
-  record.value = run.ns_per_op;
+  const bool throughput = run.name.rfind("store_", 0) == 0;
+  record.unit = throughput ? "bytes/s" : "ns/op";
+  record.value = throughput ? run.bytes_per_second : run.ns_per_op;
   record.threads = run.threads;
   record.isa = std::string(simd::isa_name(simd::active_isa()));
   std::size_t start = 0;
@@ -296,7 +347,8 @@ bench::Record to_record(const CaptureReporter::Captured& run) {
       first = false;
     } else if (simd::parse_isa(token).has_value()) {
       record.isa = token;
-    } else if (!token.empty()) {
+    } else if (!token.empty() && token != "real_time") {
+      // ("real_time" is google-benchmark's UseRealTime() name suffix.)
       const bool is_dim =
           record.name.rfind("simd_", 0) == 0 && arg_index == 0;
       record.params.emplace_back(

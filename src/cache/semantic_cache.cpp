@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "gosh/store/embedding_store.hpp"
+#include "gosh/store/checksum.hpp"
 #include "gosh/trace/trace.hpp"
 
 namespace gosh::cache {

@@ -13,7 +13,8 @@ namespace gosh::query {
 namespace {
 
 constexpr char kMagic[4] = {'G', 'S', 'H', 'H'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;          // written: checksum64 trailer
+constexpr std::uint32_t kVersionFnvPayload = 1;  // still read: FNV-1a trailer
 constexpr int kMaxLevelCap = 63;
 
 // (similarity, node) heaps: `Best` pops the most similar first (the search
@@ -241,7 +242,7 @@ std::vector<Neighbor> HnswIndex::search(const store::EmbeddingStore& store,
   return out;
 }
 
-// ---- Persistence ("GSHH" v1, FNV-checksummed trailer). --------------------
+// ---- Persistence ("GSHH" v2, checksum64 trailer; v1 FNV-1a still read). --
 
 namespace {
 
@@ -300,9 +301,8 @@ api::Status HnswIndex::save(const std::string& path) const {
   if (!inv_norms_.empty()) {
     append_raw(buffer, inv_norms_.data(), inv_norms_.size() * sizeof(float));
   }
-  const std::uint64_t checksum =
-      store::fnv1a64(buffer.data() + sizeof(kMagic),
-                     buffer.size() - sizeof(kMagic));
+  const std::uint64_t checksum = store::checksum64(
+      buffer.data() + sizeof(kMagic), buffer.size() - sizeof(kMagic));
   append_pod(buffer, checksum);
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -321,28 +321,34 @@ api::Result<HnswIndex> HnswIndex::load(const std::string& path) {
   if (!in) return fail("cannot open HNSW index");
   std::string buffer((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-  if (buffer.size() < sizeof(kMagic) + sizeof(std::uint64_t))
+  std::uint32_t version = 0;
+  if (buffer.size() < sizeof(kMagic) + sizeof(version) + sizeof(std::uint64_t))
     return fail("truncated HNSW index");
   if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0)
     return fail("not a GSHH index (bad magic)");
+  std::memcpy(&version, buffer.data() + sizeof(kMagic), sizeof(version));
+  if (version != kVersion && version != kVersionFnvPayload)
+    return fail("unsupported GSHH version");
 
   std::uint64_t stored_checksum = 0;
   std::memcpy(&stored_checksum,
               buffer.data() + buffer.size() - sizeof(stored_checksum),
               sizeof(stored_checksum));
-  const std::uint64_t computed = store::fnv1a64(
-      buffer.data() + sizeof(kMagic),
-      buffer.size() - sizeof(kMagic) - sizeof(stored_checksum));
+  const char* const checked = buffer.data() + sizeof(kMagic);
+  const std::size_t checked_bytes =
+      buffer.size() - sizeof(kMagic) - sizeof(stored_checksum);
+  const std::uint64_t computed =
+      version == kVersionFnvPayload
+          ? store::fnv1a64(checked, checked_bytes)
+          : store::checksum64(checked, checked_bytes);
   if (computed != stored_checksum)
     return fail("corrupt HNSW index (checksum mismatch)");
 
   Cursor cursor{buffer.data(), buffer.size() - sizeof(stored_checksum),
-                sizeof(kMagic)};
+                sizeof(kMagic) + sizeof(version)};
   HnswIndex index;
-  std::uint32_t version = 0, metric = 0, has_norms = 0;
+  std::uint32_t metric = 0, has_norms = 0;
   std::int32_t max_level = -1;
-  if (!cursor.pod(version) || version != kVersion)
-    return fail("unsupported GSHH version");
   if (!cursor.pod(metric) || metric > 2) return fail("bad metric field");
   index.metric_ = static_cast<Metric>(metric);
   if (!cursor.pod(index.M_) || !cursor.pod(index.ef_construction_) ||

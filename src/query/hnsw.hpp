@@ -14,6 +14,30 @@
 // mmap'd store, so the index file is small and building it never copies
 // the matrix. It is built offline and persisted beside the store
 // ("<store>.hnsw" by convention, see default_path).
+//
+// ## GSHH file layout (little-endian, packed)
+//
+//   offset  size  field
+//   0       4     magic "GSHH"
+//   4       4     version (u32, = 2; 1 is still read, see below)
+//   8       4     metric (u32: 0 cosine, 1 dot, 2 l2)
+//   12      4     M (u32)
+//   16      4     ef_construction (u32)
+//   20      8     rows (u64)
+//   28      8     dim (u64)
+//   36      4     entry (u32 node id)
+//   40      4     max_level (i32, -1 for an empty index)
+//   44      4     has_norms (u32, 1 for cosine)
+//   48      rows  per-node level (u8)
+//   ...           for layer 0..max_level, for each node whose level >=
+//                 layer: degree (u32), then degree neighbor ids (u32)
+//   ...           has_norms: rows per-row inverse norms (f32)
+//   size-8  8     checksum (u64) over bytes [4, size-8)
+//
+// Version 2 checksums with store::checksum64 (1 MiB chunks, word-parallel
+// lanes; see gosh/store/checksum.hpp). Version 1 is the same layout with
+// an FNV-1a trailer; load() still reads and verifies it, save() always
+// writes version 2.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +85,7 @@ class HnswIndex {
                                unsigned ef = 64,
                                const RowFilter& filter = {}) const;
 
-  /// Serializes to `path` ("GSHH" format, FNV-checksummed).
+  /// Serializes to `path` (GSHH v2, layout above).
   api::Status save(const std::string& path) const;
   static api::Result<HnswIndex> load(const std::string& path);
 

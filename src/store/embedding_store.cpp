@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <utility>
@@ -12,6 +14,7 @@
 #if defined(_WIN32)
 // No mmap on Windows builds of the test matrix; shards fall back to a heap
 // read. Serving still works, just without the out-of-core property.
+#include <process.h>
 #else
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -25,7 +28,8 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'G', 'S', 'H', 'S'};
 constexpr std::uint32_t kHeaderBytes = 4096;
-constexpr std::uint64_t kVersion = 1;
+constexpr std::uint64_t kVersion = 2;          // written: checksum64 payload
+constexpr std::uint64_t kVersionFnvPayload = 1;  // still read: FNV-1a payload
 constexpr std::uint32_t kMaxShards = 9999;  // 4-digit shard naming
 constexpr std::uint64_t kMaxDim = 1u << 20;
 
@@ -50,17 +54,46 @@ api::Status io_fail(const std::string& path, const std::string& what) {
   return api::Status::io_error(path + ": " + what);
 }
 
-}  // namespace
-
-std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                      std::uint64_t state) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    state ^= p[i];
-    state *= 1099511628211ULL;
-  }
-  return state;
+int process_id() {
+#if defined(_WIN32)
+  return _getpid();
+#else
+  return ::getpid();
+#endif
 }
+
+// Writes one shard file next to `file` under a name unique to this
+// process and call, then renames it over `file`. A reader with the old
+// file mapped keeps its (now unlinked) inode; the rename never exposes a
+// half-written shard.
+api::Status write_shard(const std::string& file, const Header& header,
+                        const void* payload, std::size_t payload_bytes) {
+  static std::atomic<unsigned> writes{0};
+  const std::string temp = file + ".tmp." + std::to_string(process_id()) +
+                           "." + std::to_string(writes.fetch_add(1));
+  bool written = false;
+  {
+    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    if (!out) return io_fail(file, "cannot write store shard");
+    std::array<char, kHeaderBytes> padded = {};
+    std::memcpy(padded.data(), &header, sizeof(header));
+    out.write(padded.data(), padded.size());
+    out.write(static_cast<const char*>(payload),
+              static_cast<std::streamsize>(payload_bytes));
+    out.flush();
+    written = static_cast<bool>(out);
+  }
+  std::error_code error;
+  if (written) std::filesystem::rename(temp, file, error);
+  if (!written || error) {
+    std::filesystem::remove(temp, error);
+    return io_fail(file, written ? "cannot replace store shard"
+                                 : "short write to store shard");
+  }
+  return api::Status::ok();
+}
+
+}  // namespace
 
 std::string EmbeddingStore::shard_path(const std::string& base,
                                        std::uint32_t index,
@@ -151,20 +184,16 @@ api::Status EmbeddingStore::write(const embedding::EmbeddingMatrix& matrix,
     header.shard_rows = shard_rows;
     header.shard_index = s;
     header.shard_count = count;
-    header.payload_checksum = fnv1a64(payload, payload_bytes);
+    header.payload_checksum = checksum64(payload, payload_bytes);
     header.header_checksum =
         fnv1a64(&header, offsetof(Header, header_checksum));
 
-    const std::string shard_file = shard_path(path, s, count);
-    std::ofstream out(shard_file, std::ios::binary | std::ios::trunc);
-    if (!out) return io_fail(shard_file, "cannot write store shard");
-    std::array<char, kHeaderBytes> padded = {};
-    std::memcpy(padded.data(), &header, sizeof(header));
-    out.write(padded.data(), padded.size());
-    out.write(reinterpret_cast<const char*>(payload),
-              static_cast<std::streamsize>(payload_bytes));
-    out.flush();
-    if (!out) return io_fail(shard_file, "short write to store shard");
+    if (api::Status status =
+            write_shard(shard_path(path, s, count), header, payload,
+                        payload_bytes);
+        !status.is_ok()) {
+      return status;
+    }
   }
   return api::Status::ok();
 }
@@ -183,7 +212,7 @@ api::Status read_header(std::ifstream& in, const std::string& file,
   if (header.header_bytes != kHeaderBytes)
     return io_fail(file, "unsupported GSHS header size " +
                              std::to_string(header.header_bytes));
-  if (header.version != kVersion)
+  if (header.version != kVersion && header.version != kVersionFnvPayload)
     return io_fail(file, "unsupported GSHS version " +
                              std::to_string(header.version));
   Header copy = header;
@@ -216,8 +245,16 @@ struct MappedPayload {
   const emb_t* payload = nullptr;
 };
 
+// The payload checksum `header`'s format version defines.
+std::uint64_t payload_checksum(const Header& header, const void* payload,
+                               std::size_t payload_bytes) {
+  return header.version == kVersionFnvPayload
+             ? fnv1a64(payload, payload_bytes)
+             : checksum64(payload, payload_bytes);
+}
+
 api::Status map_payload(const std::string& file, std::size_t payload_bytes,
-                        std::uint64_t expected_checksum, bool verify,
+                        const Header& header, bool verify,
                         MappedPayload& out) {
   const std::size_t expected_file = kHeaderBytes + payload_bytes;
 #ifdef GOSH_STORE_HAS_MMAP
@@ -259,7 +296,8 @@ api::Status map_payload(const std::string& file, std::size_t payload_bytes,
   out.payload = static_cast<const emb_t*>(heap);
 #endif
 
-  if (verify && fnv1a64(out.payload, payload_bytes) != expected_checksum) {
+  if (verify && payload_checksum(header, out.payload, payload_bytes) !=
+                    header.payload_checksum) {
 #ifdef GOSH_STORE_HAS_MMAP
     if (out.map_bytes > 0) {
       ::munmap(out.base, out.map_bytes);
@@ -318,7 +356,7 @@ api::Result<EmbeddingStore> EmbeddingStore::open(const std::string& path,
 
     MappedPayload mapped;
     if (api::Status status =
-            map_payload(file, payload_bytes, header.payload_checksum,
+            map_payload(file, payload_bytes, header,
                         options.verify_checksums, mapped);
         !status.is_ok()) {
       return status;
@@ -389,7 +427,7 @@ api::Result<EmbeddingStore> EmbeddingStore::open_shard(
       static_cast<std::size_t>(header.shard_rows) * store.dim_ * sizeof(emb_t);
   MappedPayload mapped;
   if (api::Status status =
-          map_payload(file, payload_bytes, header.payload_checksum,
+          map_payload(file, payload_bytes, header,
                       options.verify_checksums, mapped);
       !status.is_ok()) {
     return status;

@@ -15,17 +15,26 @@
 //   offset  size  field
 //   0       4     magic "GSHS"
 //   4       4     header_bytes (u32, = 4096 so the payload is page-aligned)
-//   8       8     version (u64, = 1)
+//   8       8     version (u64, = 2; 1 is still read, see below)
 //   16      8     total_rows (u64, rows across ALL shards)
 //   24      8     dim (u64)
 //   32      8     row_begin (u64, global index of this shard's first row)
 //   40      8     shard_rows (u64, rows stored in THIS shard)
 //   48      4     shard_index (u32)
 //   52      4     shard_count (u32)
-//   56      8     payload_checksum (u64, FNV-1a over the float payload)
+//   56      8     payload_checksum (u64, checksum64 over the float payload)
 //   64      8     header_checksum (u64, FNV-1a over bytes [0, 64))
 //   72..4096      zero padding
 //   4096    shard_rows * dim * 4   row-major float payload
+//
+// The payload checksum is store::checksum64 (gosh/store/checksum.hpp): 1 MiB
+// chunks, each hashed by 8 word-parallel FNV-style lanes, folded in order
+// with the byte length. Writing and verifying hash the chunks on the
+// global pool; the value does not depend on the thread count.
+//
+// Version 1 is the same layout with payload_checksum = FNV-1a over the
+// payload bytes. Version-1 stores still open, and verify with FNV-1a;
+// write() always produces version 2.
 //
 // ## Shard naming
 //
@@ -44,6 +53,7 @@
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
 #include "gosh/embedding/matrix.hpp"
+#include "gosh/store/checksum.hpp"
 
 namespace gosh::store {
 
@@ -53,9 +63,10 @@ struct StoreOptions {
 };
 
 struct OpenOptions {
-  /// Stream every shard once at open to verify the payload checksums.
-  /// Costs one sequential read of the store; disable for very large
-  /// stores where open latency matters more than corruption detection.
+  /// Read every shard once at open to verify the payload checksums
+  /// (version 2 hashes the chunks in parallel on the global pool). Costs
+  /// one full read of the store; disable for very large stores where open
+  /// latency matters more than corruption detection.
   bool verify_checksums = true;
 };
 
@@ -78,8 +89,11 @@ class EmbeddingStore {
   ~EmbeddingStore();
 
   /// Writes `matrix` as a GSHS store rooted at `path` (plus sibling shard
-  /// files when options.rows_per_shard splits it). Overwrites existing
-  /// files; stale shards from a previous wider layout are not removed.
+  /// files when options.rows_per_shard splits it). Each shard is written
+  /// to a process-unique sibling temp file and renamed over its target, so
+  /// a reader that has the old file mapped keeps reading the old rows
+  /// instead of faulting on a truncated file. Stale shards from a previous
+  /// wider layout are not removed.
   static api::Status write(const embedding::EmbeddingMatrix& matrix,
                            const std::string& path,
                            const StoreOptions& options = {});
@@ -149,12 +163,5 @@ class EmbeddingStore {
   unsigned dim_ = 0;
   std::string path_;
 };
-
-/// FNV-1a 64-bit running checksum (seed with kFnvOffsetBasis; feed chunks
-/// by passing the previous result back in). Shared by the store and the
-/// HNSW index persistence.
-inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                      std::uint64_t state = kFnvOffsetBasis) noexcept;
 
 }  // namespace gosh::store

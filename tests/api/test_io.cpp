@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "common/temp_path.hpp"
 #include "gosh/api/io.hpp"
 #include "gosh/store/embedding_store.hpp"
 
@@ -30,34 +30,31 @@ void expect_equal(const embedding::EmbeddingMatrix& a,
 }
 
 TEST(ApiIo, BinaryRoundTripAutoDetects) {
-  const std::string path = testing::TempDir() + "api_io_roundtrip.bin";
+  const testing_util::TempPath path("api_io_roundtrip.bin");
   const auto matrix = sample_matrix();
   ASSERT_TRUE(write_embedding(matrix, path, "binary").is_ok());
   auto loaded = read_embedding(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   expect_equal(matrix, loaded.value(), 0.0f);  // binary is exact
-  std::remove(path.c_str());
 }
 
 TEST(ApiIo, TextRoundTripAutoDetects) {
-  const std::string path = testing::TempDir() + "api_io_roundtrip.txt";
+  const testing_util::TempPath path("api_io_roundtrip.txt");
   const auto matrix = sample_matrix();
   ASSERT_TRUE(write_embedding(matrix, path, "text").is_ok());
   auto loaded = read_embedding(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   expect_equal(matrix, loaded.value(), 1e-4f);  // text is rounded
-  std::remove(path.c_str());
 }
 
 TEST(ApiIo, StoreRoundTripAutoDetects) {
-  const std::string path = testing::TempDir() + "api_io_roundtrip.gshs";
+  const testing_util::TempPath path("api_io_roundtrip.gshs");
   const auto matrix = sample_matrix();
   ASSERT_TRUE(write_embedding(matrix, path, "store").is_ok());
   // read_embedding routes on the GSHS magic and materializes the store.
   auto loaded = read_embedding(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   expect_equal(matrix, loaded.value(), 0.0f);  // store is exact
-  std::remove(path.c_str());
 }
 
 TEST(ApiIo, ErrorsAreStatuses) {
@@ -74,7 +71,7 @@ TEST(ApiIo, ErrorsAreStatuses) {
 }
 
 TEST(ApiIo, TruncatedBinaryPayloadRejected) {
-  const std::string path = testing::TempDir() + "api_io_truncated.bin";
+  const testing_util::TempPath path("api_io_truncated.bin");
   ASSERT_TRUE(write_embedding(sample_matrix(), path, "binary").is_ok());
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -86,11 +83,10 @@ TEST(ApiIo, TruncatedBinaryPayloadRejected) {
   auto loaded = read_embedding(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   EXPECT_NE(loaded.status().message().find("truncated"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(ApiIo, TrailingBytesAfterBinaryPayloadRejected) {
-  const std::string path = testing::TempDir() + "api_io_trailing.bin";
+  const testing_util::TempPath path("api_io_trailing.bin");
   ASSERT_TRUE(write_embedding(sample_matrix(), path, "binary").is_ok());
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
@@ -99,13 +95,12 @@ TEST(ApiIo, TrailingBytesAfterBinaryPayloadRejected) {
   auto loaded = read_embedding(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   EXPECT_NE(loaded.status().message().find("trailing"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(ApiIo, OversizedBinaryHeaderIsAnErrorNotAnAllocation) {
   // Hand-craft a GSHE header whose rows/dim fields promise a matrix of
   // petabytes; the reader must refuse before allocating.
-  const std::string path = testing::TempDir() + "api_io_oversized.bin";
+  const testing_util::TempPath path("api_io_oversized.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "GSHE";
@@ -116,11 +111,10 @@ TEST(ApiIo, OversizedBinaryHeaderIsAnErrorNotAnAllocation) {
   auto loaded = read_embedding(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   EXPECT_NE(loaded.status().message().find("implausible"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(ApiIo, BinaryZeroDimRejected) {
-  const std::string path = testing::TempDir() + "api_io_zerodim.bin";
+  const testing_util::TempPath path("api_io_zerodim.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "GSHE";
@@ -129,21 +123,19 @@ TEST(ApiIo, BinaryZeroDimRejected) {
   }
   auto loaded = read_embedding(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  std::remove(path.c_str());
 }
 
 TEST(ApiIo, UnreadableTextFallbackIsAnError) {
   // A file that matches no magic falls back to the text parser, whose
   // malformed-header failure must surface as an io Status.
-  const std::string path = testing::TempDir() + "api_io_garbage.txt";
+  const testing_util::TempPath path("api_io_garbage.txt");
   { std::ofstream(path) << "this is not an embedding at all\n"; }
   auto loaded = read_embedding(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  std::remove(path.c_str());
 }
 
 TEST(ApiIo, CorruptStoreSurfacesCleanStatus) {
-  const std::string path = testing::TempDir() + "api_io_corrupt.gshs";
+  const testing_util::TempPath path("api_io_corrupt.gshs");
   ASSERT_TRUE(write_embedding(sample_matrix(), path, "store").is_ok());
   {
     std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -157,7 +149,6 @@ TEST(ApiIo, CorruptStoreSurfacesCleanStatus) {
   auto loaded = read_embedding(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 // strict-parsing rejections the seed CLI silently swallowed.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/api/options.hpp"
 
 namespace gosh::api {
@@ -26,10 +26,6 @@ class Args {
   std::vector<std::string> storage_;
   std::vector<char*> pointers_;
 };
-
-std::string temp_path(const char* name) {
-  return testing::TempDir() + name;
-}
 
 TEST(Options, DefaultsValidate) {
   Options options;
@@ -177,7 +173,7 @@ TEST(Options, ValidateRejectsOutOfRangeValues) {
 }
 
 TEST(Options, FromFileRoundTrip) {
-  const std::string path = temp_path("gosh_options_roundtrip.conf");
+  const testing_util::TempPath path("gosh_options_roundtrip.conf");
   {
     std::ofstream file(path);
     file << "# GOSH options file\n"
@@ -193,14 +189,13 @@ TEST(Options, FromFileRoundTrip) {
   EXPECT_EQ(parsed.value().train().dim, 24u);
   EXPECT_EQ(parsed.value().gosh.total_epochs, 50u);
   EXPECT_EQ(parsed.value().backend, "verse-cpu");
-  std::remove(path.c_str());
 }
 
 TEST(Options, FromFileRejectsMalformedLinesAndMissingFiles) {
   EXPECT_EQ(Options::from_file("/nonexistent/gosh.conf").status().code(),
             StatusCode::kIoError);
 
-  const std::string path = temp_path("gosh_options_malformed.conf");
+  const testing_util::TempPath path("gosh_options_malformed.conf");
   {
     std::ofstream file(path);
     file << "dim 24\n";  // no '='
@@ -208,38 +203,35 @@ TEST(Options, FromFileRejectsMalformedLinesAndMissingFiles) {
   auto parsed = Options::from_file(path);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 TEST(Options, ArgsOverrideOptionsFile) {
-  const std::string path = temp_path("gosh_options_layered.conf");
+  const testing_util::TempPath path("gosh_options_layered.conf");
   {
     std::ofstream file(path);
     file << "dim = 64\nepochs = 90\n";
   }
-  Args args({"--options", path, "--dim", "32"});
+  Args args({"--options", path.path(), "--dim", "32"});
   auto parsed = Options::from_args(args.argc(), args.argv());
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().train().dim, 32u);          // CLI wins
   EXPECT_EQ(parsed.value().gosh.total_epochs, 90u);    // file survives
-  std::remove(path.c_str());
 }
 
 TEST(Options, CliPresetDoesNotClobberExplicitFileKnobs) {
   // A CLI --preset (or --large-scale) is applied BEFORE the file's
   // explicit keys, so epochs=2000 from the file survives the preset reset.
-  const std::string path = temp_path("gosh_options_preset_order.conf");
+  const testing_util::TempPath path("gosh_options_preset_order.conf");
   {
     std::ofstream file(path);
     file << "epochs = 2000\n";
   }
-  Args args({"--options", path, "--preset", "fast", "--large-scale"});
+  Args args({"--options", path.path(), "--preset", "fast", "--large-scale"});
   auto parsed = Options::from_args(args.argc(), args.argv());
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().preset, "fast");
   EXPECT_TRUE(parsed.value().large_scale);
   EXPECT_EQ(parsed.value().gosh.total_epochs, 2000u);
-  std::remove(path.c_str());
 }
 
 TEST(Options, FlagHelpersParseStrictly) {

@@ -6,13 +6,11 @@
 // CI filter).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/api/api.hpp"
 #include "gosh/cache/cached_service.hpp"
 #include "gosh/common/zipf.hpp"
@@ -22,13 +20,11 @@
 namespace gosh::cache {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
+using testing_util::TempPath;
 
 /// A random single-shard store, cleaned up on exit.
 struct Fixture {
-  std::string store_path;
+  TempPath store_path{"cached_service.gshs"};
   vid_t rows;
   unsigned dim;
 
@@ -37,8 +33,6 @@ struct Fixture {
       : rows(rows_in), dim(dim_in) {
     embedding::EmbeddingMatrix matrix(rows, dim);
     matrix.initialize_random(seed);
-    store_path = temp_path("cached_service_" + std::to_string(rows) + "_" +
-                           std::to_string(seed) + ".gshs");
     EXPECT_TRUE(
         store::EmbeddingStore::write(matrix, store_path, {}).is_ok());
   }
@@ -51,8 +45,6 @@ struct Fixture {
     serve.cache_threshold = threshold;
     return serve;
   }
-
-  ~Fixture() { std::remove(store_path.c_str()); }
 };
 
 TEST(CachedService, RegistryComposesThePrefixAndTheCacheFlag) {
@@ -238,7 +230,7 @@ TEST(CachedService, CapacityEvictionsReachTheMetricsCounter) {
 }
 
 TEST(CachedService, GenerationTracksTheStoreFingerprint) {
-  const std::string path = temp_path("cached_generation.gshs");
+  const TempPath path("cached_generation.gshs");
   embedding::EmbeddingMatrix first(60, 8);
   first.initialize_random(3);
   ASSERT_TRUE(store::EmbeddingStore::write(first, path, {}).is_ok());
@@ -271,7 +263,6 @@ TEST(CachedService, GenerationTracksTheStoreFingerprint) {
   EXPECT_GE(cached_after->cache().size(), 1u);
   cached_after->cache().set_generation(generation_before);
   EXPECT_EQ(cached_after->cache().size(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(CachedService, ConcurrentServesAgreeWithTheUncachedAnswers) {
@@ -323,7 +314,7 @@ TEST(CachedService, ConcurrentServesAgreeWithTheUncachedAnswers) {
 class CachedServiceRecallTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    store_path_ = new std::string(temp_path("cached_recall.gshs"));
+    store_path_ = new TempPath("cached_recall.gshs");
     graph::LfrParams params;
     params.communities = 12;
     const graph::Graph g = graph::lfr_like(800, params, 17);
@@ -338,14 +329,13 @@ class CachedServiceRecallTest : public ::testing::Test {
                     .is_ok());
   }
   static void TearDownTestSuite() {
-    std::remove(store_path_->c_str());
     delete store_path_;
     store_path_ = nullptr;
   }
-  static std::string* store_path_;
+  static TempPath* store_path_;
 };
 
-std::string* CachedServiceRecallTest::store_path_ = nullptr;
+TempPath* CachedServiceRecallTest::store_path_ = nullptr;
 
 TEST_F(CachedServiceRecallTest, RecallDegradesGracefullyWithTheThreshold) {
   serving::ServeOptions uncached;

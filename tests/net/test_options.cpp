@@ -3,13 +3,11 @@
 // the scan-threads rename, strict from_args, and file/flag layering.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/net/options.hpp"
 
 namespace gosh::net {
@@ -94,8 +92,7 @@ TEST(NetOptions, FromArgsRejectsWhatValidateRejects) {
 }
 
 TEST(NetOptions, OptionsFileLoadsFirstAndFlagsOverride) {
-  const std::string path = testing::TempDir() + "net_options_" +
-                           std::to_string(::getpid()) + ".conf";
+  const testing_util::TempPath path("net_options.conf");
   {
     std::ofstream out(path);
     out << "# serving front-end config\n"
@@ -104,8 +101,7 @@ TEST(NetOptions, OptionsFileLoadsFirstAndFlagsOverride) {
         << "threads = 8\n"
         << "rate-qps = 50\n";
   }
-  auto parsed = parse({"--options", path, "--port", "0"});
-  std::remove(path.c_str());
+  auto parsed = parse({"--options", path.path(), "--port", "0"});
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().port, 0u);       // the flag wins
   EXPECT_EQ(parsed.value().threads, 8u);    // the file holds
@@ -114,14 +110,12 @@ TEST(NetOptions, OptionsFileLoadsFirstAndFlagsOverride) {
 }
 
 TEST(NetOptions, FromFileMatchesSetSemantics) {
-  const std::string path = testing::TempDir() + "net_options_file_" +
-                           std::to_string(::getpid()) + ".conf";
+  const testing_util::TempPath path("net_options_file.conf");
   {
     std::ofstream out(path);
     out << "store = emb.store\nscan-threads = 6\nmax-header = 128\n";
   }
   auto parsed = NetOptions::from_file(path);
-  std::remove(path.c_str());
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().serve.threads, 6u);
   EXPECT_EQ(parsed.value().max_header, 128u);

@@ -3,13 +3,11 @@
 // (suite names BatchQueue* / QueryEngine* are in the TSan filter).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/query/batch_queue.hpp"
 
 namespace gosh::query {
@@ -17,19 +15,16 @@ namespace {
 
 struct Fixture {
   store::EmbeddingStore store;
-  std::string path;
+  testing_util::TempPath path{"batch_queue.gshs"};
 
   explicit Fixture(vid_t rows = 128, unsigned dim = 8) {
     embedding::EmbeddingMatrix matrix(rows, dim);
     matrix.initialize_random(23);
-    path = testing::TempDir() + "batch_queue_" +
-           std::to_string(::getpid()) + "_" + std::to_string(rows) + ".gshs";
     EXPECT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
     auto opened = store::EmbeddingStore::open(path);
     EXPECT_TRUE(opened.ok()) << opened.status().to_string();
     store = std::move(opened).value();
   }
-  ~Fixture() { std::remove(path.c_str()); }
 };
 
 TEST(QueryEngine, RejectsBadArguments) {
@@ -73,7 +68,7 @@ TEST(QueryEngine, RejectsIndexBuiltForAnotherMetricOrStore) {
   // Shape mismatch: an index over a smaller store.
   embedding::EmbeddingMatrix tiny(10, 8);
   tiny.initialize_random(1);
-  const std::string tiny_path = testing::TempDir() + "batch_queue_tiny.gshs";
+  const testing_util::TempPath tiny_path("batch_queue_tiny.gshs");
   ASSERT_TRUE(store::EmbeddingStore::write(tiny, tiny_path).is_ok());
   auto tiny_store = store::EmbeddingStore::open(tiny_path);
   ASSERT_TRUE(tiny_store.ok());
@@ -81,7 +76,6 @@ TEST(QueryEngine, RejectsIndexBuiltForAnotherMetricOrStore) {
       HnswIndex::build(tiny_store.value(), {.M = 4, .metric = Metric::kL2});
   EXPECT_EQ(engine.attach_index(tiny_index).code(),
             api::StatusCode::kInvalidArgument);
-  std::remove(tiny_path.c_str());
 }
 
 TEST(BatchQueue, ServesOneQueryLikeTheEngine) {

@@ -4,13 +4,11 @@
 // propagation, and edge cases (k > rows, tie ordering).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/common/rng.hpp"
 #include "gosh/common/simd.hpp"
 #include "gosh/query/brute_force.hpp"
@@ -28,30 +26,18 @@ T must(api::Result<T> result) {
 
 struct Fixture {
   store::EmbeddingStore store;
-  std::string path;
-  std::uint32_t shard_count = 1;
+  testing_util::TempPath path{"brute_force.gshs"};
 
   explicit Fixture(vid_t rows, unsigned dim, std::uint64_t seed = 17) {
     embedding::EmbeddingMatrix matrix(rows, dim);
     matrix.initialize_random(seed);
-    // getpid(): concurrent `ctest -j` test processes with the same fixture
-    // shape must not rewrite each other's stores mid-scan.
-    path = testing::TempDir() + "brute_force_" + std::to_string(::getpid()) +
-           "_" + std::to_string(rows) + "_" + std::to_string(seed) + ".gshs";
     const std::uint64_t per_shard = rows / 3 + 1;
-    shard_count = static_cast<std::uint32_t>((rows + per_shard - 1) / per_shard);
     EXPECT_TRUE(store::EmbeddingStore::write(matrix, path,
                                              {.rows_per_shard = per_shard})
                     .is_ok());
     auto opened = store::EmbeddingStore::open(path);
     EXPECT_TRUE(opened.ok()) << opened.status().to_string();
     store = std::move(opened).value();
-  }
-  ~Fixture() {
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      std::remove(
-          store::EmbeddingStore::shard_path(path, s, shard_count).c_str());
-    }
   }
 };
 

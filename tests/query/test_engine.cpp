@@ -3,11 +3,9 @@
 // name-enumerating errors.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <string>
 
+#include "common/temp_path.hpp"
 #include "gosh/query/engine.hpp"
 
 namespace gosh::query {
@@ -15,19 +13,16 @@ namespace {
 
 struct Fixture {
   store::EmbeddingStore store;
-  std::string path;
+  testing_util::TempPath path{"engine_options.gshs"};
 
   explicit Fixture(vid_t rows = 32, unsigned dim = 8) {
     embedding::EmbeddingMatrix matrix(rows, dim);
     matrix.initialize_random(7);
-    path = testing::TempDir() + "engine_options_" +
-           std::to_string(::getpid()) + "_" + std::to_string(rows) + ".gshs";
     EXPECT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
     auto opened = store::EmbeddingStore::open(path);
     EXPECT_TRUE(opened.ok()) << opened.status().to_string();
     store = std::move(opened).value();
   }
-  ~Fixture() { std::remove(path.c_str()); }
 };
 
 TEST(QueryEngineValidation, DefaultOptionsAreValid) {

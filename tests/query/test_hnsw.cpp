@@ -3,25 +3,18 @@
 // save/load round trips, and the corrupt-index error paths.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/api/api.hpp"
 
 namespace gosh::query {
 namespace {
 
-// Process-unique: under `ctest -j` every gtest case is its own process,
-// and HnswRecallTest's SetUpTestSuite rewrites its store per process — a
-// shared name would let concurrent siblings corrupt each other's stores.
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
+using testing_util::TempPath;
 
 store::EmbeddingStore open_fresh(const std::string& path) {
   auto opened = store::EmbeddingStore::open(path);
@@ -35,7 +28,7 @@ store::EmbeddingStore open_fresh(const std::string& path) {
 class HnswRecallTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    store_path_ = new std::string(temp_path("hnsw_recall.gshs"));
+    store_path_ = new TempPath("hnsw_recall.gshs");
     graph::LfrParams params;
     params.communities = 16;
     const graph::Graph g = graph::lfr_like(1200, params, 31);
@@ -51,15 +44,14 @@ class HnswRecallTest : public ::testing::Test {
                     .is_ok());
   }
   static void TearDownTestSuite() {
-    std::remove(store_path_->c_str());
     delete store_path_;
     store_path_ = nullptr;
   }
 
-  static std::string* store_path_;
+  static TempPath* store_path_;
 };
 
-std::string* HnswRecallTest::store_path_ = nullptr;
+TempPath* HnswRecallTest::store_path_ = nullptr;
 
 double recall_at_k(const QueryEngine& engine, unsigned k,
                    std::size_t samples) {
@@ -116,7 +108,7 @@ TEST_F(HnswRecallTest, WiderBeamNeverHurtsRecall) {
 }
 
 TEST_F(HnswRecallTest, SaveLoadRoundTripPreservesSearchResults) {
-  const std::string index_path = temp_path("hnsw_roundtrip.hnsw");
+  const TempPath index_path("hnsw_roundtrip.hnsw");
   auto store = open_fresh(*store_path_);
   const HnswIndex built =
       HnswIndex::build(store, {.M = 12, .ef_construction = 100, .seed = 3});
@@ -138,13 +130,12 @@ TEST_F(HnswRecallTest, SaveLoadRoundTripPreservesSearchResults) {
       EXPECT_EQ(before[j].id, after[j].id) << "probe " << probe;
     }
   }
-  std::remove(index_path.c_str());
 }
 
 TEST(HnswIndex, ExhaustiveBeamEqualsBruteForce) {
   // With ef >= rows the layer-0 beam touches every reachable node, so the
   // result must match the exact scan row for row.
-  const std::string path = temp_path("hnsw_exhaustive.gshs");
+  const TempPath path("hnsw_exhaustive.gshs");
   embedding::EmbeddingMatrix matrix(80, 6);
   matrix.initialize_random(2);
   ASSERT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
@@ -162,11 +153,10 @@ TEST(HnswIndex, ExhaustiveBeamEqualsBruteForce) {
       EXPECT_EQ(approx[i].id, exact[i].id) << "probe " << probe;
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(HnswIndex, BuildsUnderEveryMetric) {
-  const std::string path = temp_path("hnsw_metrics.gshs");
+  const TempPath path("hnsw_metrics.gshs");
   embedding::EmbeddingMatrix matrix(60, 5);
   matrix.initialize_random(4);
   ASSERT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
@@ -181,11 +171,10 @@ TEST(HnswIndex, BuildsUnderEveryMetric) {
       EXPECT_EQ(top[0].id, 30u) << metric_name(metric);
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(HnswIndex, EmptyStoreYieldsEmptyResults) {
-  const std::string path = temp_path("hnsw_empty.gshs");
+  const TempPath path("hnsw_empty.gshs");
   ASSERT_TRUE(
       store::EmbeddingStore::write(embedding::EmbeddingMatrix(0, 3), path)
           .is_ok());
@@ -193,26 +182,24 @@ TEST(HnswIndex, EmptyStoreYieldsEmptyResults) {
   const HnswIndex index = HnswIndex::build(store, {});
   const float query[3] = {1.0f, 0.0f, 0.0f};
   EXPECT_TRUE(index.search(store, {query, 3}, 5, 16).empty());
-  std::remove(path.c_str());
 }
 
 TEST(HnswIndex, LoadRejectsMissingCorruptAndForeignFiles) {
-  EXPECT_EQ(HnswIndex::load(temp_path("no_such_index.hnsw")).status().code(),
+  EXPECT_EQ(HnswIndex::load(TempPath("no_such_index.hnsw")).status().code(),
             api::StatusCode::kIoError);
 
-  const std::string garbage = temp_path("hnsw_garbage.hnsw");
+  const TempPath garbage("hnsw_garbage.hnsw");
   { std::ofstream(garbage, std::ios::binary) << "GSHSnot an index at all"; }
   auto foreign = HnswIndex::load(garbage);
   EXPECT_EQ(foreign.status().code(), api::StatusCode::kIoError);
-  std::remove(garbage.c_str());
 
   // Build a real index, then flip a byte in the middle.
-  const std::string store_path = temp_path("hnsw_corrupt.gshs");
+  const TempPath store_path("hnsw_corrupt.gshs");
   embedding::EmbeddingMatrix matrix(40, 4);
   matrix.initialize_random(6);
   ASSERT_TRUE(store::EmbeddingStore::write(matrix, store_path).is_ok());
   auto store = open_fresh(store_path);
-  const std::string index_path = temp_path("hnsw_corrupt.hnsw");
+  const TempPath index_path("hnsw_corrupt.hnsw");
   ASSERT_TRUE(HnswIndex::build(store, {.M = 4}).save(index_path).is_ok());
   {
     std::fstream file(index_path,
@@ -227,8 +214,6 @@ TEST(HnswIndex, LoadRejectsMissingCorruptAndForeignFiles) {
   auto corrupt = HnswIndex::load(index_path);
   EXPECT_EQ(corrupt.status().code(), api::StatusCode::kIoError);
   EXPECT_NE(corrupt.status().message().find("checksum"), std::string::npos);
-  std::remove(index_path.c_str());
-  std::remove(store_path.c_str());
 }
 
 }  // namespace

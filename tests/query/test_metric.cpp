@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <string>
 
+#include "common/temp_path.hpp"
 #include "gosh/query/metric.hpp"
 
 namespace gosh::query {
@@ -75,7 +75,7 @@ TEST(QueryMetric, RowInverseNormsCoverTheStore) {
   for (vid_t v = 0; v < 5; ++v) {
     for (unsigned i = 0; i < 3; ++i) matrix.row(v)[i] = (v == 0) ? 0.0f : v;
   }
-  const std::string path = testing::TempDir() + "metric_norms.gshs";
+  const testing_util::TempPath path("metric_norms.gshs");
   ASSERT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
   auto opened = store::EmbeddingStore::open(path);
   ASSERT_TRUE(opened.ok());
@@ -88,7 +88,6 @@ TEST(QueryMetric, RowInverseNormsCoverTheStore) {
   }
   // Non-cosine metrics need no norms at all.
   EXPECT_TRUE(row_inverse_norms(opened.value(), Metric::kDot).empty());
-  std::remove(path.c_str());
 }
 
 }  // namespace

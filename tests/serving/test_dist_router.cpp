@@ -6,13 +6,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "child_server.hpp"
+#include "common/temp_path.hpp"
 #include "gosh/serving/dist_router.hpp"
 #include "gosh/serving/router.hpp"
 
@@ -24,6 +24,7 @@ namespace {
 /// score ties the (score desc, id asc) order must break identically on
 /// both sides of the wire.
 struct DistFixture {
+  testing_util::TempPath scratch{"dist_router"};
   std::string sharded_path;
   std::string flat_path;
   std::uint32_t shard_count;
@@ -40,9 +41,8 @@ struct DistFixture {
       auto dst = matrix.row(v + third);
       std::copy(src.begin(), src.end(), dst.begin());
     }
-    const std::string base = testing::TempDir() + "dist_router";
-    sharded_path = base + ".sharded.gshs";
-    flat_path = base + ".flat.gshs";
+    sharded_path = scratch.file("sharded.gshs");
+    flat_path = scratch.file("flat.gshs");
     const std::uint64_t per_shard = rows / 3 + 1;
     shard_count =
         static_cast<std::uint32_t>((rows + per_shard - 1) / per_shard);
@@ -50,15 +50,6 @@ struct DistFixture {
                                              {.rows_per_shard = per_shard})
                     .is_ok());
     EXPECT_TRUE(store::EmbeddingStore::write(matrix, flat_path, {}).is_ok());
-  }
-
-  ~DistFixture() {
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      std::remove(
-          store::EmbeddingStore::shard_path(sharded_path, s, shard_count)
-              .c_str());
-    }
-    std::remove(flat_path.c_str());
   }
 
   /// What one shard child serves: its slice of the sharded store, in

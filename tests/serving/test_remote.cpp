@@ -6,12 +6,12 @@
 // the TSan CI filter).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "child_server.hpp"
+#include "common/temp_path.hpp"
 #include "gosh/serving/remote.hpp"
 
 namespace gosh::serving {
@@ -51,7 +51,7 @@ TEST(ReplicaSet, ParseBackendsRejectsMalformedSpecs) {
 }
 
 TEST(ReplicaSet, ParseBackendsFileForm) {
-  const std::string path = testing::TempDir() + "backends.txt";
+  const testing_util::TempPath path("backends.txt");
   {
     std::ofstream out(path);
     out << "# shard children\n"
@@ -60,7 +60,6 @@ TEST(ReplicaSet, ParseBackendsFileForm) {
         << "127.0.0.1:9003\n";
   }
   auto groups = parse_backends(path);
-  std::remove(path.c_str());
   ASSERT_TRUE(groups.ok()) << groups.status().to_string();
   ASSERT_EQ(groups.value().size(), 2u);
   ASSERT_EQ(groups.value()[0].size(), 2u);
@@ -118,17 +117,15 @@ constexpr const char* kQueryBody = R"({"queries": [{"vertex": 1}], "k": 3})";
 
 /// One small flat store every remote test serves.
 struct FlatFixture {
-  std::string path;
+  testing_util::TempPath path{"remote_flat.gshs"};
   vid_t rows = 40;
   unsigned dim = 5;
 
   FlatFixture() {
     embedding::EmbeddingMatrix matrix(rows, dim);
     matrix.initialize_random(17);
-    path = testing::TempDir() + "remote_flat.gshs";
     EXPECT_TRUE(store::EmbeddingStore::write(matrix, path, {}).is_ok());
   }
-  ~FlatFixture() { std::remove(path.c_str()); }
 
   ServeOptions options() const {
     ServeOptions serve;

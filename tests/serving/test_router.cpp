@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/serving/registry.hpp"
 #include "gosh/serving/router.hpp"
 
@@ -19,6 +19,7 @@ namespace {
 /// The same matrix written twice: once unsharded, once as 3 shards. Rows
 /// are seeded with deliberate duplicates so top-k runs into score ties.
 struct ShardedFixture {
+  testing_util::TempPath scratch{"router"};
   std::string sharded_path;
   std::string flat_path;
   std::uint32_t shard_count;
@@ -39,11 +40,8 @@ struct ShardedFixture {
       std::copy(src.begin(), src.end(), dst.begin());
     }
 
-    const std::string base = testing::TempDir() + "router_" +
-                             std::to_string(rows) + "_" +
-                             std::to_string(dim);
-    sharded_path = base + ".sharded.gshs";
-    flat_path = base + ".flat.gshs";
+    sharded_path = scratch.file("sharded.gshs");
+    flat_path = scratch.file("flat.gshs");
     const std::uint64_t per_shard = rows / 3 + 1;
     shard_count =
         static_cast<std::uint32_t>((rows + per_shard - 1) / per_shard);
@@ -58,15 +56,6 @@ struct ShardedFixture {
     serve.store_path = path;
     serve.k = 12;
     return serve;
-  }
-
-  ~ShardedFixture() {
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      std::remove(
-          store::EmbeddingStore::shard_path(sharded_path, s, shard_count)
-              .c_str());
-    }
-    std::remove(flat_path.c_str());
   }
 };
 

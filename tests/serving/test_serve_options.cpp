@@ -3,11 +3,11 @@
 // precedence.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/serving/options.hpp"
 
 namespace gosh::serving {
@@ -117,7 +117,7 @@ TEST(ServeOptions, RejectsMalformedValuesWithClearErrors) {
 }
 
 TEST(ServeOptions, FromFileAppliesAndFlagsOverride) {
-  const std::string path = testing::TempDir() + "serve_options_test.conf";
+  const testing_util::TempPath path("serve_options_test.conf");
   {
     std::ofstream file(path);
     file << "# serving defaults\n"
@@ -132,14 +132,13 @@ TEST(ServeOptions, FromFileAppliesAndFlagsOverride) {
   EXPECT_EQ(from_file.value().metric, query::Metric::kDot);
 
   // --options FILE loads first, command-line flags win.
-  std::vector<std::string> args = {"--options", path, "--k", "11"};
+  std::vector<std::string> args = {"--options", path.path(), "--k", "11"};
   auto argv = argv_of(args);
   auto merged =
       ServeOptions::from_args(static_cast<int>(argv.size()), argv.data());
   ASSERT_TRUE(merged.ok()) << merged.status().to_string();
   EXPECT_EQ(merged.value().k, 11u);
   EXPECT_EQ(merged.value().strategy, "exact");
-  std::remove(path.c_str());
 }
 
 TEST(ServeOptions, HelpShortCircuits) {

@@ -4,14 +4,12 @@
 // concurrent serving (suite QueryService* is in the TSan CI filter).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/query/brute_force.hpp"
 #include "gosh/serving/registry.hpp"
 
@@ -20,8 +18,7 @@ namespace {
 
 /// A 3-shard store of random rows plus its HNSW index, cleaned up on exit.
 struct Fixture {
-  std::string store_path;
-  std::uint32_t shard_count;
+  testing_util::TempPath store_path{"service.gshs"};
   vid_t rows;
   unsigned dim;
 
@@ -30,12 +27,7 @@ struct Fixture {
       : rows(rows_in), dim(dim_in) {
     embedding::EmbeddingMatrix matrix(rows, dim);
     matrix.initialize_random(seed);
-    store_path = testing::TempDir() + "service_" +
-                 std::to_string(::getpid()) + "_" + std::to_string(rows) +
-                 "_" + std::to_string(seed) + ".gshs";
     const std::uint64_t per_shard = rows / 3 + 1;
-    shard_count =
-        static_cast<std::uint32_t>((rows + per_shard - 1) / per_shard);
     EXPECT_TRUE(store::EmbeddingStore::write(matrix, store_path,
                                              {.rows_per_shard = per_shard})
                     .is_ok());
@@ -53,15 +45,6 @@ struct Fixture {
     serve.ef_construction = ef_construction;
     auto report = serving::build_index(serve);
     ASSERT_TRUE(report.ok()) << report.status().to_string();
-  }
-
-  ~Fixture() {
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      std::remove(
-          store::EmbeddingStore::shard_path(store_path, s, shard_count)
-              .c_str());
-    }
-    std::remove((store_path + ".hnsw").c_str());
   }
 };
 

@@ -1,13 +1,13 @@
 // gosh::store — GSHS write/open round trips, shard naming, mmap row
-// access, and the corruption / truncation error paths.
+// access, atomic rewrites, and the corruption / truncation error paths
+// (byte-level format torture lives in test_store_format.cpp).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "common/temp_path.hpp"
 #include "gosh/store/embedding_store.hpp"
 
 namespace gosh::store {
@@ -20,16 +20,7 @@ embedding::EmbeddingMatrix sample_matrix(vid_t rows, unsigned dim,
   return matrix;
 }
 
-// Process-unique so `ctest -j` siblings cannot collide on store files.
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
-
-void remove_store(const std::string& path, std::uint32_t count) {
-  for (std::uint32_t s = 0; s < count; ++s) {
-    std::remove(EmbeddingStore::shard_path(path, s, count).c_str());
-  }
-}
+using testing_util::TempPath;
 
 void expect_rows_match(const embedding::EmbeddingMatrix& matrix,
                        const EmbeddingStore& store) {
@@ -46,7 +37,7 @@ void expect_rows_match(const embedding::EmbeddingMatrix& matrix,
 }
 
 TEST(EmbeddingStore, SingleShardRoundTrip) {
-  const std::string path = temp_path("store_single.gshs");
+  const TempPath path("store_single.gshs");
   const auto matrix = sample_matrix(33, 7);
   ASSERT_TRUE(EmbeddingStore::write(matrix, path).is_ok());
 
@@ -59,11 +50,10 @@ TEST(EmbeddingStore, SingleShardRoundTrip) {
   for (std::size_t i = 0; i < matrix.size(); ++i) {
     EXPECT_EQ(matrix.data()[i], copy.data()[i]);
   }
-  remove_store(path, 1);
 }
 
 TEST(EmbeddingStore, ShardedRoundTripCrossesShardBoundaries) {
-  const std::string path = temp_path("store_sharded.gshs");
+  const TempPath path("store_sharded.gshs");
   const auto matrix = sample_matrix(33, 5);
   ASSERT_TRUE(
       EmbeddingStore::write(matrix, path, {.rows_per_shard = 8}).is_ok());
@@ -75,21 +65,19 @@ TEST(EmbeddingStore, ShardedRoundTripCrossesShardBoundaries) {
   expect_rows_match(matrix, opened.value());
 
   // Shard naming: root is shard 0, siblings carry the 4-digit suffix.
-  EXPECT_EQ(EmbeddingStore::shard_path(path, 0, 5), path);
+  EXPECT_EQ(EmbeddingStore::shard_path(path, 0, 5), path.path());
   std::ifstream sibling(EmbeddingStore::shard_path(path, 3, 5));
   EXPECT_TRUE(sibling.good());
-  remove_store(path, 5);
 }
 
 TEST(EmbeddingStore, EmptyMatrixRoundTrips) {
-  const std::string path = temp_path("store_empty.gshs");
+  const TempPath path("store_empty.gshs");
   ASSERT_TRUE(
       EmbeddingStore::write(embedding::EmbeddingMatrix(0, 4), path).is_ok());
   auto opened = EmbeddingStore::open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
   EXPECT_EQ(opened.value().rows(), 0u);
   EXPECT_EQ(opened.value().dim(), 4u);
-  remove_store(path, 1);
 }
 
 TEST(EmbeddingStore, ZeroDimRejected) {
@@ -99,12 +87,12 @@ TEST(EmbeddingStore, ZeroDimRejected) {
 }
 
 TEST(EmbeddingStore, MissingFileIsIoError) {
-  auto opened = EmbeddingStore::open(temp_path("store_does_not_exist.gshs"));
+  auto opened = EmbeddingStore::open(TempPath("store_does_not_exist.gshs"));
   EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
 }
 
 TEST(EmbeddingStore, WrongMagicRejected) {
-  const std::string path = temp_path("store_not_a_store.gshs");
+  const TempPath path("store_not_a_store.gshs");
   {
     // Big enough to pass the header read, wrong magic ("GSHE" is the
     // in-memory matrix format, not a store).
@@ -114,11 +102,10 @@ TEST(EmbeddingStore, WrongMagicRejected) {
   auto opened = EmbeddingStore::open(path);
   EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
   EXPECT_NE(opened.status().message().find("magic"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(EmbeddingStore, TruncatedPayloadRejected) {
-  const std::string path = temp_path("store_truncated.gshs");
+  const TempPath path("store_truncated.gshs");
   ASSERT_TRUE(EmbeddingStore::write(sample_matrix(16, 8), path).is_ok());
   // Chop the last row off the payload; the size check must catch it.
   std::ifstream in(path, std::ios::binary);
@@ -130,11 +117,10 @@ TEST(EmbeddingStore, TruncatedPayloadRejected) {
 
   auto opened = EmbeddingStore::open(path);
   EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
-  std::remove(path.c_str());
 }
 
 TEST(EmbeddingStore, CorruptPayloadCaughtByChecksum) {
-  const std::string path = temp_path("store_corrupt.gshs");
+  const TempPath path("store_corrupt.gshs");
   ASSERT_TRUE(EmbeddingStore::write(sample_matrix(16, 8), path).is_ok());
   {
     // Flip one payload byte without changing the file size.
@@ -154,23 +140,21 @@ TEST(EmbeddingStore, CorruptPayloadCaughtByChecksum) {
   // fast path for very large stores).
   auto unverified = EmbeddingStore::open(path, {.verify_checksums = false});
   EXPECT_TRUE(unverified.ok()) << unverified.status().to_string();
-  std::remove(path.c_str());
 }
 
 TEST(EmbeddingStore, MissingShardRejected) {
-  const std::string path = temp_path("store_missing_shard.gshs");
+  const TempPath path("store_missing_shard.gshs");
   ASSERT_TRUE(
       EmbeddingStore::write(sample_matrix(30, 4), path, {.rows_per_shard = 10})
           .is_ok());
-  std::remove(EmbeddingStore::shard_path(path, 1, 3).c_str());
+  std::filesystem::remove(EmbeddingStore::shard_path(path, 1, 3));
   auto opened = EmbeddingStore::open(path);
   EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
   EXPECT_NE(opened.status().message().find("missing"), std::string::npos);
-  remove_store(path, 3);
 }
 
 TEST(EmbeddingStore, CorruptHeaderRejected) {
-  const std::string path = temp_path("store_bad_header.gshs");
+  const TempPath path("store_bad_header.gshs");
   ASSERT_TRUE(EmbeddingStore::write(sample_matrix(8, 4), path).is_ok());
   {
     // Inflate total_rows (offset 16) without fixing the header checksum.
@@ -182,11 +166,10 @@ TEST(EmbeddingStore, CorruptHeaderRejected) {
   auto opened = EmbeddingStore::open(path);
   EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
   EXPECT_NE(opened.status().message().find("checksum"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(EmbeddingStore, ProbeReadsTheLayoutWithoutMapping) {
-  const std::string path = temp_path("store_probe.gshs");
+  const TempPath path("store_probe.gshs");
   const auto matrix = sample_matrix(33, 5);
   ASSERT_TRUE(
       EmbeddingStore::write(matrix, path, {.rows_per_shard = 8}).is_ok());
@@ -197,15 +180,14 @@ TEST(EmbeddingStore, ProbeReadsTheLayoutWithoutMapping) {
   EXPECT_EQ(info.value().dim, 5u);
   EXPECT_EQ(info.value().shard_count, 5u);
 
-  EXPECT_FALSE(EmbeddingStore::probe(temp_path("no_such.gshs")).ok());
+  EXPECT_FALSE(EmbeddingStore::probe(TempPath("no_such.gshs")).ok());
   // Probing a non-root shard is rejected: the root carries the layout.
   EXPECT_FALSE(
       EmbeddingStore::probe(EmbeddingStore::shard_path(path, 1, 5)).ok());
-  remove_store(path, 5);
 }
 
 TEST(EmbeddingStore, OpenShardServesOneRebasedGroup) {
-  const std::string path = temp_path("store_open_shard.gshs");
+  const TempPath path("store_open_shard.gshs");
   const auto matrix = sample_matrix(33, 5);
   ASSERT_TRUE(
       EmbeddingStore::write(matrix, path, {.rows_per_shard = 8}).is_ok());
@@ -233,7 +215,46 @@ TEST(EmbeddingStore, OpenShardServesOneRebasedGroup) {
   // Wrong count in the name/header pairing is rejected.
   EXPECT_FALSE(EmbeddingStore::open_shard(path, 2, 4).ok());
   EXPECT_FALSE(EmbeddingStore::open_shard(path, 9, 5).ok());
-  remove_store(path, 5);
+}
+
+TEST(EmbeddingStore, RewriteKeepsOpenStoresOnTheirOldRows) {
+  const TempPath path("store_rewrite.gshs");
+  // 16 pages of payload, rewritten as one page: an in-place truncating
+  // write would make the old mapping's tail pages fault (SIGBUS).
+  const auto before = sample_matrix(2000, 8, 1);
+  const auto after = sample_matrix(10, 8, 2);
+  ASSERT_TRUE(EmbeddingStore::write(before, path).is_ok());
+  auto old_store = EmbeddingStore::open(path);
+  ASSERT_TRUE(old_store.ok()) << old_store.status().to_string();
+
+  ASSERT_TRUE(EmbeddingStore::write(after, path).is_ok());
+  expect_rows_match(before, old_store.value());
+  auto reopened = EmbeddingStore::open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
+  expect_rows_match(after, reopened.value());
+
+  // Only the store itself is left; the temp file was renamed away.
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(path.dir())) {
+    EXPECT_EQ(entry.path().string(), path.path());
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+}
+
+TEST(EmbeddingStore, FailedWriteLeavesNoTempFile) {
+  // A directory squats on the target name: the temp file is written, the
+  // rename over the directory fails, and the temp file must go.
+  const TempPath path("store_blocked.gshs");
+  ASSERT_TRUE(std::filesystem::create_directory(path.path()));
+  const api::Status status = EmbeddingStore::write(sample_matrix(64, 4), path);
+  EXPECT_EQ(status.code(), api::StatusCode::kIoError);
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(path.dir())) {
+    EXPECT_EQ(entry.path().string(), path.path());
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
 }
 
 }  // namespace

@@ -6,15 +6,13 @@
 // on the way out (TracerGuard).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/temp_path.hpp"
 #include "gosh/net/json.hpp"
 #include "gosh/query/batch_queue.hpp"
 #include "gosh/trace/trace.hpp"
@@ -85,8 +83,7 @@ TEST(Trace, BatchQueueHandoffRecordsQueueWaitAndScanIntoTheTrace) {
   // the caller's trace across the thread handoff.
   embedding::EmbeddingMatrix matrix(64, 8);
   matrix.initialize_random(23);
-  const std::string path = ::testing::TempDir() + "trace_queue_" +
-                           std::to_string(::getpid()) + ".gshs";
+  const testing_util::TempPath path("trace_queue.gshs");
   ASSERT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
   auto opened = store::EmbeddingStore::open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
@@ -103,7 +100,6 @@ TEST(Trace, BatchQueueHandoffRecordsQueueWaitAndScanIntoTheTrace) {
     EXPECT_EQ(future.get().size(), 10u);
   }
   tracer.finish(trace);
-  std::remove(path.c_str());
 
   std::set<std::string> names;
   std::uint32_t handler_thread = 0, scan_thread = 0;

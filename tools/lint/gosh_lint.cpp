@@ -23,6 +23,11 @@
 //                     one clock shim keeps span timestamps and ad-hoc
 //                     timings on the same epoch. The token-bucket refill
 //                     in rate_limiter.cpp is the one justified exception.
+//   test-tempdir      Test file paths come from tests/common/temp_path.hpp
+//                     (unique per pid and test, removed on scope exit), not
+//                     raw `TempDir() +` concatenation: ctest -j runs every
+//                     case as its own process, and a shared fixed path let
+//                     one process rewrite a store another had mmapped.
 //
 // Each rule carries an explicit allowlist next to its implementation; the
 // fixture tree under tools/lint/fixtures plants one violation per rule and
@@ -361,6 +366,31 @@ void check_trace_clock(const SourceFile& file, std::vector<Violation>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: test-tempdir
+// ---------------------------------------------------------------------------
+
+const std::vector<std::string> kTestTempdirAllowlist = {
+    // The helper itself: the one place that derives paths from TempDir().
+    "tests/common/temp_path.hpp",
+};
+
+void check_test_tempdir(const SourceFile& file, std::vector<Violation>& out) {
+  if (allowlisted(file.path, kTestTempdirAllowlist)) return;
+  static const std::regex kConcat(R"(TempDir\s*\(\s*\)\s*\+)");
+  for (auto it = std::sregex_iterator(file.stripped.begin(),
+                                      file.stripped.end(), kConcat);
+       it != std::sregex_iterator(); ++it) {
+    out.push_back({file.path,
+                   line_of(file.stripped, static_cast<std::size_t>(
+                                              it->position())),
+                   "test-tempdir",
+                   "raw TempDir() + path; use testing_util::TempPath "
+                   "(tests/common/temp_path.hpp) so concurrent test "
+                   "processes never share a file"});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: tsan-suppression
 // ---------------------------------------------------------------------------
 
@@ -504,6 +534,7 @@ std::vector<Violation> run_rules(const fs::path& root,
     check_unchecked_value(file, violations);
     check_internal_include(file, violations);
     check_trace_clock(file, violations);
+    check_test_tempdir(file, violations);
   }
   check_tsan_suppressions(root, files, violations);
   return violations;
@@ -579,9 +610,15 @@ int self_test(const fs::path& root) {
   expect(count("trace-clock", "src/serving/remote.cpp") == 1,
          "trace-clock must fire on the serving fixture's planted "
          "steady_clock::now()");
+  expect(count("test-tempdir", "tests/temp_dir.cpp") == 1,
+         "test-tempdir must fire on the planted TempDir() + concatenation "
+         "and stay quiet on the comment and the bare TempDir() call");
+  expect(count("test-tempdir", "tests/common/temp_path.hpp") == 0,
+         "test-tempdir must honor the temp_path.hpp allowlist");
   // Nothing else may fire — a noisy rule is as useless as a silent one.
   const auto expected_total =
-      count("raw-sync", "src/raw_sync.cpp") + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1;
+      count("raw-sync", "src/raw_sync.cpp") + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 +
+      1;
   expect(static_cast<long>(violations.size()) == expected_total,
          "no unexpected violations in the fixture tree");
 

@@ -1,22 +1,10 @@
 #include "gosh/api/options.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
-#include <fstream>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace gosh::api {
 namespace {
-
-std::string quoted(std::string_view text) {
-  std::string out = "'";
-  out += text;
-  out += "'";
-  return out;
-}
 
 /// The preset-controlled fields of GoshConfig (Table 3). Deliberately does
 /// NOT reset the rest of `gosh`, so `preset` composes with explicit knobs
@@ -44,149 +32,21 @@ Status apply_preset(Options& options) {
   return Status::ok();
 }
 
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front())))
-    text.remove_prefix(1);
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back())))
-    text.remove_suffix(1);
-  return text;
-}
-
-using KeyValue = std::pair<std::string, std::string>;
-
-/// Applies pairs with `large-scale` first, `preset` second, the rest in
-/// order — so the preset seeds the config no matter where it was written,
-/// and explicit knobs (from any source) land after it.
-Status apply_pairs(Options& options, const std::vector<KeyValue>& pairs) {
-  for (const auto& [key, value] : pairs) {
-    if (key != "large-scale") continue;
-    if (Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  for (const auto& [key, value] : pairs) {
-    if (key != "preset") continue;
-    if (Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  for (const auto& [key, value] : pairs) {
-    if (key == "large-scale" || key == "preset") continue;
-    if (Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
+Status set_device_mib(Options& options, std::string_view value) {
+  unsigned long long mib = 0;
+  if (Status s = parse_field("device-mib", value, mib); !s.is_ok()) return s;
+  if (mib == 0 || mib > (std::size_t{1} << 24))
+    return Status::invalid_argument("device-mib: out of range " +
+                                    quoted(value));
+  options.device.memory_bytes = static_cast<std::size_t>(mib) << 20;
   return Status::ok();
 }
 
-template <typename T, typename Parser>
-Status set_scalar(T& field, std::string_view key, std::string_view value,
-                  Parser parse) {
-  auto parsed = parse(value);
-  if (!parsed.ok()) {
-    return Status::invalid_argument(std::string(key) + ": " +
-                                    parsed.status().message());
-  }
-  const auto raw = parsed.value();
-  if constexpr (std::is_integral_v<T> &&
-                !std::is_same_v<T, bool> &&
-                std::is_integral_v<decltype(raw)>) {
-    // A value the field cannot hold is an error, not a silent wrap —
-    // `--dim 4294967297` must not become dim=1.
-    if (!std::in_range<T>(raw))
-      return Status::invalid_argument(std::string(key) +
-                                      ": value out of range " +
-                                      quoted(value));
-  }
-  field = static_cast<T>(raw);
-  return Status::ok();
+std::string show_device_mib(const Options& options) {
+  return std::to_string(options.device.memory_bytes >> 20);
 }
 
 }  // namespace
-
-// Parses one key=value file into pairs (no application yet, so file and
-// CLI sources can be merged before any reordering the caller needs).
-Status read_options_file(const std::string& path, KeyValuePairs& pairs) {
-  std::ifstream file(path);
-  if (!file)
-    return Status::io_error("cannot open options file " + quoted(path));
-
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(file, line)) {
-    ++line_number;
-    std::string_view text = line;
-    if (const std::size_t hash = text.find('#'); hash != std::string::npos)
-      text = text.substr(0, hash);
-    text = trim(text);
-    if (text.empty()) continue;
-    const std::size_t equals = text.find('=');
-    if (equals == std::string_view::npos)
-      return Status::invalid_argument(
-          path + ":" + std::to_string(line_number) +
-          ": expected key=value, got " + quoted(text));
-    const std::string_view key = trim(text.substr(0, equals));
-    const std::string_view value = trim(text.substr(equals + 1));
-    if (key.empty())
-      return Status::invalid_argument(path + ":" +
-                                      std::to_string(line_number) +
-                                      ": empty key");
-    pairs.emplace_back(std::string(key), std::string(value));
-  }
-  return Status::ok();
-}
-
-Result<long long> parse_integer(std::string_view text) {
-  text = trim(text);
-  if (text.empty()) return Status::invalid_argument("empty integer");
-  long long value = 0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error == std::errc::result_out_of_range)
-    return Status::invalid_argument("integer out of range: " + quoted(text));
-  if (error != std::errc() || end != text.data() + text.size())
-    return Status::invalid_argument("expected an integer, got " +
-                                    quoted(text));
-  return value;
-}
-
-Result<unsigned long long> parse_unsigned(std::string_view text) {
-  text = trim(text);
-  if (!text.empty() && text.front() == '-')
-    return Status::invalid_argument("expected a non-negative integer, got " +
-                                    quoted(text));
-  if (text.empty()) return Status::invalid_argument("empty integer");
-  // Parsed as unsigned directly so (LLONG_MAX, ULLONG_MAX] stays legal —
-  // a 64-bit seed may use the full range.
-  unsigned long long value = 0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error == std::errc::result_out_of_range)
-    return Status::invalid_argument("integer out of range: " + quoted(text));
-  if (error != std::errc() || end != text.data() + text.size())
-    return Status::invalid_argument("expected an integer, got " +
-                                    quoted(text));
-  return value;
-}
-
-Result<double> parse_real(std::string_view text) {
-  text = trim(text);
-  if (text.empty()) return Status::invalid_argument("empty number");
-  double value = 0.0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error != std::errc() || end != text.data() + text.size())
-    return Status::invalid_argument("expected a number, got " + quoted(text));
-  if (!std::isfinite(value))
-    return Status::invalid_argument("expected a finite number, got " +
-                                    quoted(text));
-  return value;
-}
-
-Result<bool> parse_bool(std::string_view text) {
-  text = trim(text);
-  if (text == "true" || text == "1") return true;
-  if (text == "false" || text == "0") return false;
-  return Status::invalid_argument("expected true|false|1|0, got " +
-                                  quoted(text));
-}
 
 Result<long long> flag_integer(int argc, char** argv, std::string_view name,
                                long long fallback) {
@@ -233,146 +93,116 @@ std::vector<std::string> flag_list(int argc, char** argv,
   return fallback;
 }
 
+const OptionTable<Options>& Options::table() {
+  using embedding::PositiveSampling;
+  using embedding::UpdateRule;
+  static const OptionTable<Options> table =
+      OptionTable<Options>("option")
+          // Tool io.
+          .field("input", "PATH", "edge-list file (required unless --demo)",
+                 &Options::input_path)
+          .field("demo", "", "embed a generated LFR demo graph instead",
+                 &Options::demo)
+          .field("output", "PATH", "embedding output", &Options::output_path)
+          .field("format", "FMT", "binary, text or store (GSHS)",
+                 &Options::output_format)
+          .field("rows-per-shard", "N",
+                 "store format: rows per shard; 0 = one file",
+                 &Options::rows_per_shard)
+          .field("eval", "", "run the 80/20 link-prediction evaluation",
+                 &Options::run_eval)
+          .field("verbose", "", "narrate per-level progress",
+                 &Options::verbose)
+          .field("trace-out", "PATH",
+                 "dump a Chrome trace of the run to PATH",
+                 &Options::trace_out)
+          // Facade-level selection.
+          .field("backend",
+                 "auto|device|largegraph|multidevice|verse-cpu|line-device|mile",
+                 "auto = the fits-in-device policy",
+                 &Options::backend)
+          .field("large-scale", "", "use the preset's e_large epoch budgets",
+                 &Options::large_scale, apply_preset)
+          .early()
+          .field("preset", "fast|normal|slow|nocoarse", "Table 3 preset",
+                 &Options::preset, apply_preset)
+          .early()
+          // Training.
+          .field("dim", "D", "embedding dimension",
+                 [](auto& o) -> auto& { return o.gosh.train.dim; })
+          .field("negative-samples", "N", "negative samples per positive",
+                 [](auto& o) -> auto& { return o.gosh.train.negative_samples; })
+          .field("learning-rate", "LR", "initial learning rate",
+                 [](auto& o) -> auto& { return o.gosh.train.learning_rate; })
+          .field("epochs", "E", "total epoch budget",
+                 [](auto& o) -> auto& { return o.gosh.total_epochs; })
+          .field("seed", "S", "RNG seed",
+                 [](auto& o) -> auto& { return o.gosh.train.seed; })
+          .field("smoothing", "P", "smoothing ratio p of the epoch split",
+                 [](auto& o) -> auto& { return o.gosh.smoothing_ratio; })
+          .field("edge-epochs", "", "one epoch samples |E| targets",
+                 [](auto& o) -> auto& { return o.gosh.edge_epochs; })
+          .choice("update-rule", "embedding update order",
+                  [](auto& o) -> auto& { return o.gosh.train.update_rule; },
+                  std::vector<std::pair<std::string, UpdateRule>>{
+                      {"simultaneous", UpdateRule::kSimultaneous},
+                      {"sequential", UpdateRule::kPaperSequential}})
+          .choice("positive-sampling", "how positive samples are drawn",
+                  [](auto& o) -> auto& {
+                    return o.gosh.train.positive_sampling;
+                  },
+                  std::vector<std::pair<std::string, PositiveSampling>>{
+                      {"adjacency", PositiveSampling::kAdjacency},
+                      {"ppr", PositiveSampling::kPpr}})
+          // Device shape.
+          .custom("device-mib", "M", "emulated device memory in MiB",
+                  set_device_mib, show_device_mib)
+          .field("workers", "N", "emulated SM workers; 0 = all cores",
+                 [](auto& o) -> auto& { return o.device.workers; })
+          .field("memory-fraction", "F",
+                 "device share the fits-check plans for",
+                 [](auto& o) -> auto& { return o.gosh.device_memory_fraction; })
+          // Multi-device.
+          .field("devices", "N", "replicas of the multidevice backend",
+                 &Options::num_devices)
+          .field("sync-interval", "N", "multidevice passes between averagings",
+                 &Options::sync_interval)
+          // Baselines.
+          .field("mile-levels", "N", "mile backend: coarsening levels",
+                 &Options::mile_levels)
+          .field("mile-refinement", "N", "mile backend: refinement rounds",
+                 &Options::mile_refinement_rounds)
+          .choice("verse-similarity", "verse-cpu backend: similarity",
+                  &Options::verse_similarity,
+                  std::vector<std::pair<std::string, std::string>>{
+                      {"ppr", "ppr"}, {"adjacency", "adjacency"}})
+          .field("verse-lr", "LR", "verse-cpu backend: learning rate",
+                 &Options::verse_learning_rate)
+          // Coarsening.
+          .field("coarsening", "", "coarsen before training",
+                 [](auto& o) -> auto& { return o.gosh.enable_coarsening; })
+          .field("coarsening-threshold", "N",
+                 "stop coarsening below this many vertices",
+                 [](auto& o) -> auto& { return o.gosh.coarsening.threshold; })
+          .field("coarsening-threads", "N",
+                 "1 = sequential Algorithm 4; 0 = all cores",
+                 [](auto& o) -> auto& { return o.gosh.coarsening.threads; })
+          // Large-graph engine (Algorithm 5).
+          .field("pgpu", "N", "sub-matrix slots on the device",
+                 [](auto& o) -> auto& { return o.gosh.large_graph.pgpu; })
+          .field("sgpu", "N", "sample-pool slots on the device",
+                 [](auto& o) -> auto& { return o.gosh.large_graph.sgpu; })
+          .field("batch", "B", "positives per vertex per sample pool",
+                 [](auto& o) -> auto& { return o.gosh.large_graph.batch_B; })
+          .field("sampler-threads", "N", "sample-pool producers; 0 = all cores",
+                 [](auto& o) -> auto& {
+                   return o.gosh.large_graph.sampler_threads;
+                 });
+  return table;
+}
+
 Status Options::set(std::string_view key, std::string_view value) {
-  // Facade-level selection.
-  if (key == "backend") {
-    backend = std::string(trim(value));
-    return backend.empty()
-               ? Status::invalid_argument("backend: empty name")
-               : Status::ok();
-  }
-  if (key == "preset") {
-    preset = std::string(trim(value));
-    return apply_preset(*this);
-  }
-  if (key == "large-scale") {
-    if (Status s = set_scalar(large_scale, key, value, parse_bool); !s.is_ok())
-      return s;
-    return apply_preset(*this);
-  }
-
-  // Training.
-  if (key == "dim")
-    return set_scalar(gosh.train.dim, key, value, parse_unsigned);
-  if (key == "negative-samples")
-    return set_scalar(gosh.train.negative_samples, key, value, parse_unsigned);
-  if (key == "learning-rate")
-    return set_scalar(gosh.train.learning_rate, key, value, parse_real);
-  if (key == "epochs")
-    return set_scalar(gosh.total_epochs, key, value, parse_unsigned);
-  if (key == "seed")
-    return set_scalar(gosh.train.seed, key, value, parse_unsigned);
-  if (key == "smoothing")
-    return set_scalar(gosh.smoothing_ratio, key, value, parse_real);
-  if (key == "edge-epochs")
-    return set_scalar(gosh.edge_epochs, key, value, parse_bool);
-  if (key == "update-rule") {
-    const std::string_view rule = trim(value);
-    if (rule == "simultaneous")
-      gosh.train.update_rule = embedding::UpdateRule::kSimultaneous;
-    else if (rule == "sequential")
-      gosh.train.update_rule = embedding::UpdateRule::kPaperSequential;
-    else
-      return Status::invalid_argument(
-          "update-rule: expected simultaneous|sequential, got " +
-          quoted(rule));
-    return Status::ok();
-  }
-  if (key == "positive-sampling") {
-    const std::string_view mode = trim(value);
-    if (mode == "adjacency")
-      gosh.train.positive_sampling = embedding::PositiveSampling::kAdjacency;
-    else if (mode == "ppr")
-      gosh.train.positive_sampling = embedding::PositiveSampling::kPpr;
-    else
-      return Status::invalid_argument(
-          "positive-sampling: expected adjacency|ppr, got " + quoted(mode));
-    return Status::ok();
-  }
-
-  // Device shape.
-  if (key == "device-mib") {
-    unsigned long long mib = 0;
-    if (Status s = set_scalar(mib, key, value, parse_unsigned); !s.is_ok())
-      return s;
-    if (mib == 0 || mib > (std::size_t{1} << 24))
-      return Status::invalid_argument("device-mib: out of range " +
-                                      quoted(value));
-    device.memory_bytes = static_cast<std::size_t>(mib) << 20;
-    return Status::ok();
-  }
-  if (key == "workers")
-    return set_scalar(device.workers, key, value, parse_unsigned);
-  if (key == "memory-fraction")
-    return set_scalar(gosh.device_memory_fraction, key, value, parse_real);
-
-  // Multi-device.
-  if (key == "devices")
-    return set_scalar(num_devices, key, value, parse_unsigned);
-  if (key == "sync-interval")
-    return set_scalar(sync_interval, key, value, parse_unsigned);
-
-  // MILE baseline.
-  if (key == "mile-levels")
-    return set_scalar(mile_levels, key, value, parse_unsigned);
-  if (key == "mile-refinement")
-    return set_scalar(mile_refinement_rounds, key, value, parse_unsigned);
-
-  // VERSE baseline.
-  if (key == "verse-similarity") {
-    const std::string_view mode = trim(value);
-    if (mode != "ppr" && mode != "adjacency")
-      return Status::invalid_argument(
-          "verse-similarity: expected ppr|adjacency, got " + quoted(mode));
-    verse_similarity = std::string(mode);
-    return Status::ok();
-  }
-  if (key == "verse-lr")
-    return set_scalar(verse_learning_rate, key, value, parse_real);
-
-  // Coarsening.
-  if (key == "coarsening")
-    return set_scalar(gosh.enable_coarsening, key, value, parse_bool);
-  if (key == "coarsening-threshold")
-    return set_scalar(gosh.coarsening.threshold, key, value, parse_unsigned);
-  if (key == "coarsening-threads")
-    return set_scalar(gosh.coarsening.threads, key, value, parse_unsigned);
-
-  // Large-graph engine.
-  if (key == "pgpu")
-    return set_scalar(gosh.large_graph.pgpu, key, value, parse_unsigned);
-  if (key == "sgpu")
-    return set_scalar(gosh.large_graph.sgpu, key, value, parse_unsigned);
-  if (key == "batch")
-    return set_scalar(gosh.large_graph.batch_B, key, value, parse_unsigned);
-  if (key == "sampler-threads")
-    return set_scalar(gosh.large_graph.sampler_threads, key, value,
-                      parse_unsigned);
-
-  // Tool io.
-  if (key == "input") {
-    input_path = std::string(trim(value));
-    return Status::ok();
-  }
-  if (key == "output") {
-    output_path = std::string(trim(value));
-    return Status::ok();
-  }
-  if (key == "format") {
-    output_format = std::string(trim(value));
-    return Status::ok();
-  }
-  if (key == "rows-per-shard")
-    return set_scalar(rows_per_shard, key, value, parse_unsigned);
-  if (key == "demo") return set_scalar(demo, key, value, parse_bool);
-  if (key == "eval") return set_scalar(run_eval, key, value, parse_bool);
-  if (key == "verbose") return set_scalar(verbose, key, value, parse_bool);
-  if (key == "trace-out") {
-    trace_out = std::string(trim(value));
-    return Status::ok();
-  }
-
-  return Status::invalid_argument("unknown option " + quoted(key));
+  return table().set(*this, key, value);
 }
 
 Status Options::validate() const {
@@ -437,51 +267,7 @@ Status Options::validate() const {
 }
 
 Result<Options> Options::from_args(int argc, char** argv) {
-  Options options;
-  std::vector<KeyValue> pairs;
-  std::string options_file;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      options.show_help = true;
-      return options;  // caller prints usage; nothing else matters
-    }
-    if (!arg.starts_with("--"))
-      return Status::invalid_argument("stray argument " + quoted(arg) +
-                                      " (flags start with --)");
-    const std::string_view key = arg.substr(2);
-    if (key == "demo" || key == "eval" || key == "large-scale" ||
-        key == "verbose") {
-      pairs.emplace_back(std::string(key), "true");
-      continue;
-    }
-    if (i + 1 >= argc)
-      return Status::invalid_argument("flag " + quoted(arg) +
-                                      " expects a value");
-    const std::string_view value = argv[++i];
-    if (key == "options") {
-      options_file = std::string(value);
-      continue;
-    }
-    pairs.emplace_back(std::string(key), std::string(value));
-  }
-
-  // Merge file pairs BEFORE the CLI pairs into one list, so a CLI
-  // --preset/--large-scale is still applied before the file's explicit
-  // knobs — "flags override the file" holds even against preset resets.
-  if (!options_file.empty()) {
-    std::vector<KeyValue> merged;
-    if (Status status = read_options_file(options_file, merged);
-        !status.is_ok())
-      return status;
-    merged.insert(merged.end(), pairs.begin(), pairs.end());
-    pairs = std::move(merged);
-  }
-  if (Status status = apply_pairs(options, pairs); !status.is_ok())
-    return status;
-  if (Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_args(argc, argv);
 }
 
 Result<Options> Options::from_file(const std::string& path) {
@@ -490,15 +276,7 @@ Result<Options> Options::from_file(const std::string& path) {
 
 Result<Options> Options::from_file(const std::string& path,
                                    const Options& base) {
-  std::vector<KeyValue> pairs;
-  if (Status status = read_options_file(path, pairs); !status.is_ok())
-    return status;
-
-  Options options = base;
-  if (Status status = apply_pairs(options, pairs); !status.is_ok())
-    return status;
-  if (Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_file(path, base);
 }
 
 }  // namespace gosh::api

@@ -9,8 +9,8 @@
 //     (no atol: `--dim abc` and `--seed -3` are rejected with a Status);
 //   * config file   — Options::from_file(path), one key=value per line,
 //     '#' comments; the keys are the CLI flag names without the "--".
-// `--options FILE` on the command line loads the file first and lets the
-// remaining flags override it.
+// All three go through Options::table() (see option_table.hpp): one row
+// per key, which also generates gosh_embed's --help.
 //
 // `preset` / `large-scale` are applied before every other key regardless of
 // where they appear, so flag order never changes the result.
@@ -21,24 +21,12 @@
 #include <string_view>
 #include <vector>
 
+#include "gosh/api/option_table.hpp"
 #include "gosh/api/status.hpp"
 #include "gosh/embedding/gosh.hpp"
 #include "gosh/simt/device.hpp"
 
 namespace gosh::api {
-
-// ---- Strict scalar parsing (shared by from_args/from_file and reusable
-// ---- by tools that keep bespoke flags, e.g. the bench harnesses). -------
-
-/// Whole-string signed integer; rejects trailing junk, overflow, empty.
-Result<long long> parse_integer(std::string_view text);
-/// Whole-string non-negative integer; additionally rejects a leading '-'
-/// (so "-3" cannot wrap through an unsigned cast).
-Result<unsigned long long> parse_unsigned(std::string_view text);
-/// Whole-string finite double.
-Result<double> parse_real(std::string_view text);
-/// "true"/"false"/"1"/"0" (case-sensitive).
-Result<bool> parse_bool(std::string_view text);
 
 // ---- Strict "--name value" argv lookups, for drivers that keep bespoke
 // ---- flags alongside (or instead of) Options::from_args — the bench
@@ -52,13 +40,6 @@ bool flag_present(int argc, char** argv, std::string_view name);
 std::vector<std::string> flag_list(int argc, char** argv,
                                    std::string_view name,
                                    std::vector<std::string> fallback);
-
-/// Ordered key=value pairs of an options file ('#' comments and blank
-/// lines ignored; line-numbered kInvalidArgument on malformed lines).
-/// Shared by Options::from_file and serving::ServeOptions::from_file so
-/// both facades parse the identical dialect.
-using KeyValuePairs = std::vector<std::pair<std::string, std::string>>;
-Status read_options_file(const std::string& path, KeyValuePairs& pairs);
 
 struct Options {
   // ---- Facade-level selection. ------------------------------------------
@@ -117,7 +98,7 @@ struct Options {
   Status set(std::string_view key, std::string_view value);
 
   /// Parses a full command line. Boolean flags (--demo, --eval,
-  /// --large-scale, --help) take no value; everything else requires one.
+  /// --large-scale, ...) need no value; everything else requires one.
   /// The result has already passed validate().
   static Result<Options> from_args(int argc, char** argv);
 
@@ -127,6 +108,9 @@ struct Options {
   static Result<Options> from_file(const std::string& path);
   static Result<Options> from_file(const std::string& path,
                                    const Options& base);
+
+  /// Every key: its parser, flag-ness and help line.
+  static const OptionTable<Options>& table();
 };
 
 }  // namespace gosh::api

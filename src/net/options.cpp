@@ -1,108 +1,70 @@
 #include "gosh/net/options.hpp"
 
+#include <string>
 #include <utility>
 
-#include "gosh/api/options.hpp"
-
 namespace gosh::net {
-namespace {
 
-std::string quoted(std::string_view text) {
-  std::string out = "'";
-  out += text;
-  out += "'";
-  return out;
+const api::OptionTable<NetOptions>& NetOptions::table() {
+  using O = NetOptions;
+  static const api::OptionTable<NetOptions> table =
+      api::OptionTable<NetOptions>("serving option")
+          // Wire.
+          .field("host", "H", "bind address", &O::host)
+          .field("port", "P", "TCP port; 0 = ephemeral", &O::port)
+          .field("threads", "T", "connection worker pool", &O::threads)
+          // ServeOptions' "threads" (scan parallelism), renamed here.
+          .field("scan-threads", "T", "scan parallelism; 0 = every worker",
+                 [](auto& o) -> auto& { return o.serve.threads; })
+          .field("port-file", "PATH", "write the bound port here after listen",
+                 &O::port_file)
+          .field("allow-remote-shutdown", "", "register POST /admin/shutdown",
+                 &O::allow_remote_shutdown)
+          // Request limits.
+          .field("max-body", "N", "request body cap in bytes (else 413)",
+                 &O::max_body)
+          .field("max-header", "N", "request head cap in bytes (else 431)",
+                 &O::max_header)
+          .field("read-timeout-ms", "MS", "per-read deadline (else 408)",
+                 &O::read_timeout_ms)
+          .field("keepalive-requests", "N",
+                 "requests per connection; 0 = unlimited",
+                 &O::keepalive_requests)
+          // Admission control.
+          .field("rate-qps", "Q", "global admission rate; 0 = off",
+                 &O::rate_qps)
+          .field("burst", "B", "global bucket depth; 0 = max(Q, 1)",
+                 &O::burst)
+          .field("conn-rate-qps", "Q", "per-connection admission rate; 0 = off",
+                 &O::conn_rate_qps)
+          .field("conn-burst", "B", "per-connection bucket depth",
+                 &O::conn_burst)
+          // Observability.
+          .field("trace-sample-rate", "R", "fraction of requests traced",
+                 &O::trace_sample_rate)
+          .field("trace-slow-ms", "MS", "always trace requests slower than MS",
+                 &O::trace_slow_ms)
+          .field("trace-out", "PATH",
+                 "dump traces as Chrome JSON on shutdown (alone: rate 1)",
+                 &O::trace_out)
+          .field("access-log", "", "one structured log line per response",
+                 &O::access_log)
+          // Chaos (deterministic fault injection).
+          .field("chaos-drop-rate", "R", "drop this fraction of requests",
+                 &O::chaos_drop_rate)
+          .field("chaos-500-rate", "R", "answer this fraction with a 500",
+                 &O::chaos_500_rate)
+          .field("chaos-stall", "R", "stall this fraction, never answered",
+                 &O::chaos_stall)
+          .field("chaos-delay-ms", "MS", "delay every surviving request",
+                 &O::chaos_delay_ms)
+          .field("chaos-seed", "S", "fault-draw seed", &O::chaos_seed)
+          .nest(serving::ServeOptions::table(), &O::serve);
+  return table;
 }
-
-template <typename T>
-api::Status set_unsigned(T& field, std::string_view key,
-                         std::string_view value) {
-  auto parsed = api::parse_unsigned(value);
-  if (!parsed.ok()) {
-    return api::Status::invalid_argument(std::string(key) + ": " +
-                                         parsed.status().message());
-  }
-  if (!std::in_range<T>(parsed.value())) {
-    return api::Status::invalid_argument(std::string(key) +
-                                         ": value out of range " +
-                                         quoted(value));
-  }
-  field = static_cast<T>(parsed.value());
-  return api::Status::ok();
-}
-
-api::Status set_rate(double& field, std::string_view key,
-                     std::string_view value) {
-  auto parsed = api::parse_real(value);
-  if (!parsed.ok()) {
-    return api::Status::invalid_argument(std::string(key) + ": " +
-                                         parsed.status().message());
-  }
-  if (parsed.value() < 0.0) {
-    return api::Status::invalid_argument(std::string(key) +
-                                         ": must be >= 0, got " +
-                                         quoted(value));
-  }
-  field = parsed.value();
-  return api::Status::ok();
-}
-
-}  // namespace
 
 api::Status NetOptions::set(std::string_view key, std::string_view value) {
-  if (key == "host") {
-    host = std::string(value);
-    return host.empty() ? api::Status::invalid_argument("host: empty address")
-                        : api::Status::ok();
-  }
-  if (key == "port") return set_unsigned(port, key, value);
-  if (key == "threads") return set_unsigned(threads, key, value);
-  if (key == "max-body") return set_unsigned(max_body, key, value);
-  if (key == "max-header") return set_unsigned(max_header, key, value);
-  if (key == "read-timeout-ms")
-    return set_unsigned(read_timeout_ms, key, value);
-  if (key == "keepalive-requests")
-    return set_unsigned(keepalive_requests, key, value);
-  if (key == "rate-qps") return set_rate(rate_qps, key, value);
-  if (key == "burst") return set_rate(burst, key, value);
-  if (key == "conn-rate-qps") return set_rate(conn_rate_qps, key, value);
-  if (key == "conn-burst") return set_rate(conn_burst, key, value);
-  if (key == "trace-sample-rate")
-    return set_rate(trace_sample_rate, key, value);
-  if (key == "trace-slow-ms") return set_rate(trace_slow_ms, key, value);
-  if (key == "trace-out") {
-    trace_out = std::string(value);
-    return api::Status::ok();
-  }
-  if (key == "access-log") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("access-log: " +
-                                           parsed.status().message());
-    access_log = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "chaos-drop-rate") return set_rate(chaos_drop_rate, key, value);
-  if (key == "chaos-500-rate") return set_rate(chaos_500_rate, key, value);
-  if (key == "chaos-stall") return set_rate(chaos_stall, key, value);
-  if (key == "chaos-delay-ms") return set_unsigned(chaos_delay_ms, key, value);
-  if (key == "chaos-seed") return set_unsigned(chaos_seed, key, value);
-  if (key == "port-file") {
-    port_file = std::string(value);
-    return api::Status::ok();
-  }
-  if (key == "allow-remote-shutdown") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("allow-remote-shutdown: " +
-                                           parsed.status().message());
-    allow_remote_shutdown = parsed.value();
-    return api::Status::ok();
-  }
-  // The ServeOptions field NetOptions shadows: its "threads" is scan
-  // parallelism, reachable on this surface as scan-threads.
-  if (key == "scan-threads") return serve.set("threads", value);
-  return serve.set(key, value);
+  return table().set(*this, key, value);
 }
 
 api::Status NetOptions::validate() const {
@@ -119,6 +81,15 @@ api::Status NetOptions::validate() const {
     return bad("max-header: must be in [64, 2^24]");
   if (read_timeout_ms < 1 || read_timeout_ms > 600000)
     return bad("read-timeout-ms: must be in [1, 600000]");
+  const std::pair<const char*, double> non_negative[] = {
+      {"rate-qps", rate_qps},           {"burst", burst},
+      {"conn-rate-qps", conn_rate_qps}, {"conn-burst", conn_burst},
+      {"trace-sample-rate", trace_sample_rate},
+      {"trace-slow-ms", trace_slow_ms}, {"chaos-drop-rate", chaos_drop_rate},
+      {"chaos-500-rate", chaos_500_rate}, {"chaos-stall", chaos_stall}};
+  for (const auto& [key, value] : non_negative) {
+    if (value < 0.0) return bad(std::string(key) + ": must be >= 0");
+  }
   if (burst > 0.0 && rate_qps <= 0.0)
     return bad("burst: needs rate-qps > 0");
   if (conn_burst > 0.0 && conn_rate_qps <= 0.0)
@@ -133,55 +104,7 @@ api::Status NetOptions::validate() const {
 }
 
 api::Result<NetOptions> NetOptions::from_args(int argc, char** argv) {
-  NetOptions options;
-  api::KeyValuePairs pairs;
-  std::string options_file;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      options.show_help = true;
-      return options;  // caller prints usage; nothing else matters
-    }
-    if (!arg.starts_with("--"))
-      return api::Status::invalid_argument("stray argument " + quoted(arg) +
-                                           " (flags start with --)");
-    const std::string_view key = arg.substr(2);
-    if (key == "allow-remote-shutdown" || key == "access-log" ||
-        key == "cache") {
-      pairs.emplace_back(std::string(key), "true");
-      continue;
-    }
-    if (key == "no-verify") {
-      pairs.emplace_back("verify", "false");
-      continue;
-    }
-    if (i + 1 >= argc)
-      return api::Status::invalid_argument("flag " + quoted(arg) +
-                                           " expects a value");
-    const std::string_view value = argv[++i];
-    if (key == "options") {
-      options_file = std::string(value);
-      continue;
-    }
-    pairs.emplace_back(std::string(key), std::string(value));
-  }
-
-  // File pairs apply before the CLI pairs: flags override the file.
-  if (!options_file.empty()) {
-    api::KeyValuePairs merged;
-    if (api::Status status = api::read_options_file(options_file, merged);
-        !status.is_ok())
-      return status;
-    merged.insert(merged.end(), pairs.begin(), pairs.end());
-    pairs = std::move(merged);
-  }
-  for (const auto& [key, value] : pairs) {
-    if (api::Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  if (api::Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_args(argc, argv);
 }
 
 api::Result<NetOptions> NetOptions::from_file(const std::string& path) {
@@ -190,16 +113,7 @@ api::Result<NetOptions> NetOptions::from_file(const std::string& path) {
 
 api::Result<NetOptions> NetOptions::from_file(const std::string& path,
                                               const NetOptions& base) {
-  api::KeyValuePairs pairs;
-  if (api::Status status = api::read_options_file(path, pairs); !status.is_ok())
-    return status;
-  NetOptions options = base;
-  for (const auto& [key, value] : pairs) {
-    if (api::Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  if (api::Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_file(path, base);
 }
 
 }  // namespace gosh::net

@@ -7,8 +7,8 @@
 // network layer adds (bind address, worker pool, body/header limits,
 // admission control, timeouts). Same three population paths as every
 // options struct in the tree: programmatic, from_args (strict), from_file
-// (key=value lines, '#' comments), with `--options FILE` loading first
-// and flags overriding.
+// (key=value lines, '#' comments), all through NetOptions::table(): the
+// net rows, then every ServeOptions row this struct does not shadow.
 //
 // One deliberate rename: "--threads" here is the CONNECTION WORKER POOL
 // (the front-end's concurrency), and the scan parallelism ServeOptions
@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 
+#include "gosh/api/option_table.hpp"
 #include "gosh/api/status.hpp"
 #include "gosh/serving/options.hpp"
 
@@ -95,14 +96,13 @@ struct NetOptions {
   api::Status validate() const;
 
   /// Applies one key=value knob. Net keys are matched first; anything else
-  /// is delegated to serve.set(), so every ServeOptions key works here.
+  /// is applied to `serve`, so every ServeOptions key works here.
   api::Status set(std::string_view key, std::string_view value);
 
   /// Strict command-line parse, gosh_embed/gosh_query conventions:
-  /// boolean flags (--allow-remote-shutdown, --access-log, --no-verify)
-  /// take no value,
-  /// "--options FILE" loads the file first, flags override, result has
-  /// already passed validate().
+  /// boolean flags (--allow-remote-shutdown, --require-all-shards,
+  /// --no-verify, ...) need no value, "--options FILE" loads the file
+  /// first, flags override, result has already passed validate().
   static api::Result<NetOptions> from_args(int argc, char** argv);
 
   /// key=value file parse ('#' comments) on top of `base` (defaults when
@@ -110,6 +110,9 @@ struct NetOptions {
   static api::Result<NetOptions> from_file(const std::string& path);
   static api::Result<NetOptions> from_file(const std::string& path,
                                            const NetOptions& base);
+
+  /// Every key, net rows first: its parser, flag-ness and help line.
+  static const api::OptionTable<NetOptions>& table();
 };
 
 }  // namespace gosh::net

@@ -1,45 +1,78 @@
 #include "gosh/serving/options.hpp"
 
-#include <cctype>
+#include <string>
 #include <utility>
 #include <vector>
-
-#include "gosh/api/options.hpp"
 
 namespace gosh::serving {
 namespace {
 
-std::string quoted(std::string_view text) {
-  std::string out = "'";
-  out += text;
-  out += "'";
-  return out;
-}
+using api::quoted;
 
-std::string_view trim(std::string_view text) {
-  while (!text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.front())))
-    text.remove_prefix(1);
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back())))
-    text.remove_suffix(1);
-  return text;
-}
-
-template <typename T>
-api::Status set_unsigned(T& field, std::string_view key,
-                         std::string_view value) {
-  auto parsed = api::parse_unsigned(value);
-  if (!parsed.ok()) {
-    return api::Status::invalid_argument(std::string(key) + ": " +
-                                         parsed.status().message());
-  }
-  if (!std::in_range<T>(parsed.value())) {
-    return api::Status::invalid_argument(std::string(key) +
-                                         ": value out of range " +
-                                         quoted(value));
-  }
-  field = static_cast<T>(parsed.value());
+api::Status set_metric(ServeOptions& options, std::string_view value) {
+  auto parsed = query::parse_metric(value);
+  if (!parsed.ok()) return parsed.status();
+  options.metric = parsed.value();
   return api::Status::ok();
+}
+
+std::string show_metric(const ServeOptions& options) {
+  return std::string(query::metric_name(options.metric));
+}
+
+api::Status set_aggregate(ServeOptions& options, std::string_view value) {
+  auto parsed = query::parse_aggregate(value);
+  if (!parsed.ok()) return parsed.status();
+  options.aggregate = std::string(query::aggregate_name(parsed.value()));
+  return api::Status::ok();
+}
+
+std::string show_aggregate(const ServeOptions& options) {
+  return options.aggregate;
+}
+
+/// Splits "A<sep>B" into two unsigned fields; `form` names the expected
+/// shape in the error.
+template <typename T>
+api::Status parse_pair(std::string_view key, std::string_view form,
+                       std::string_view value, std::string_view separators,
+                       T& first, T& second) {
+  const std::size_t sep = value.find_first_of(separators);
+  if (sep == std::string_view::npos)
+    return api::Status::invalid_argument(std::string(key) + ": expected " +
+                                         std::string(form) + ", got " +
+                                         quoted(value));
+  T a = 0, b = 0;
+  if (api::Status s = api::parse_field(key, value.substr(0, sep), a);
+      !s.is_ok())
+    return s;
+  if (api::Status s = api::parse_field(key, value.substr(sep + 1), b);
+      !s.is_ok())
+    return s;
+  first = a;
+  second = b;
+  return api::Status::ok();
+}
+
+api::Status set_filter(ServeOptions& options, std::string_view value) {
+  return parse_pair("filter", "LO:HI (ids in [LO, HI))", value, ":",
+                    options.filter_begin, options.filter_end);
+}
+
+std::string show_filter(const ServeOptions& options) {
+  return std::to_string(options.filter_begin) + ":" +
+         std::to_string(options.filter_end);
+}
+
+api::Status set_shard(ServeOptions& options, std::string_view value) {
+  // "I/N" (also accepts "I:N"): this process serves shard I of N.
+  return parse_pair("shard", "I/N (serve shard I of N)", value, "/:",
+                    options.shard_index, options.shard_count);
+}
+
+std::string show_shard(const ServeOptions& options) {
+  return std::to_string(options.shard_index) + "/" +
+         std::to_string(options.shard_count);
 }
 
 }  // namespace
@@ -91,158 +124,95 @@ query::RowFilter ServeOptions::row_filter() const {
   return [begin, end](vid_t v) { return v >= begin && v < end; };
 }
 
+const api::OptionTable<ServeOptions>& ServeOptions::table() {
+  using O = ServeOptions;
+  static const api::OptionTable<ServeOptions> table =
+      api::OptionTable<ServeOptions>("serving option")
+          // Store and strategy.
+          .field("store", "PATH", "GSHS embedding store (required)",
+                 &O::store_path)
+          .field("index", "PATH", "HNSW index file; empty = STORE.hnsw",
+                 &O::index_path)
+          .field("strategy",
+                 "exact|hnsw|batched|router|dist-router|remote:LIST|cached:S|"
+                 "auto",
+                 "auto = hnsw when the index exists",
+                 &O::strategy)
+          .field("verify", "", "verify store checksums at open",
+                 &O::verify_checksums)
+          .negation("no-verify")
+          .custom("shard", "I/N",
+                  "serve shard I of N only, in local ids",
+                  set_shard, show_shard)
+          // Query defaults.
+          .field("k", "K", "neighbors per query", &O::k)
+          .custom("metric", "M", "cosine|dot|l2", set_metric, show_metric)
+          .custom("aggregate", "A", "multi-vector combine rule: max|mean",
+                  set_aggregate, show_aggregate)
+          .custom("filter", "LO:HI",
+                  "answer only ids in [LO, HI); 0:0 = all",
+                  set_filter, show_filter)
+          // Engine shape.
+          .field("threads", "T", "scan parallelism; 0 = every worker",
+                 &O::threads)
+          .field("block-rows", "N", "rows per scan block", &O::block_rows)
+          .field("ef", "EF", "HNSW search beam width", &O::ef_search)
+          .field("M", "M", "HNSW links per node (index build)", &O::hnsw_m)
+          .field("ef-construction", "EC", "HNSW build beam width",
+                 &O::ef_construction)
+          .field("seed", "S", "index build and --eval sampling seed",
+                 &O::seed)
+          .field("batch", "B", "max requests coalesced per scan (batched)",
+                 &O::max_batch)
+          // Semantic result cache.
+          .field("cache", "", "wrap the strategy in the semantic cache",
+                 &O::cache_enabled)
+          .field("cache-threshold", "T",
+                 "cosine floor for hits; 1 = exact only",
+                 &O::cache_threshold)
+          .field("cache-capacity", "N", "max cached entries (LRU)",
+                 &O::cache_capacity)
+          .field("cache-ttl-ms", "MS", "cache entry lifetime; 0 = forever",
+                 &O::cache_ttl_ms)
+          // Distributed serving.
+          .field("backends", "LIST",
+                 "host:port list (',' shards, '|' replicas) or a file",
+                 &O::backends)
+          .field("remote-deadline-ms", "MS", "budget per remote call",
+                 &O::remote_deadline_ms)
+          .field("retries", "N", "extra attempts per remote call",
+                 &O::remote_retries)
+          .field("hedge-after-ms", "MS",
+                 "hedge a quiet remote call; 0 = off",
+                 &O::hedge_after_ms)
+          .field("breaker-failures", "N",
+                 "failures that open a circuit breaker",
+                 &O::breaker_failures)
+          .field("breaker-cooldown-ms", "MS",
+                 "open time before one half-open probe",
+                 &O::breaker_cooldown_ms)
+          .field("probe-interval-ms", "MS",
+                 "/healthz probe cadence; 0 = off",
+                 &O::probe_interval_ms)
+          .field("require-all-shards", "",
+                 "partial merges become 503, not degraded answers",
+                 &O::require_all_shards)
+          // Tool modes (gosh_query).
+          .field("build-index", "", "build the HNSW index beside the store",
+                 &O::build_index)
+          .field("queries", "FILE", "answer top-k per line; - = stdin",
+                 &O::queries_path)
+          .field("eval", "N", "recall@k against exact on N sampled rows",
+                 &O::eval_samples)
+          .field("recall-floor", "F", "fail when --eval recall is below F",
+                 &O::recall_floor)
+          .field("metrics", "", "print the metrics exposition at exit",
+                 &O::dump_metrics);
+  return table;
+}
+
 api::Status ServeOptions::set(std::string_view key, std::string_view value) {
-  if (key == "strategy") {
-    strategy = std::string(trim(value));
-    return strategy.empty()
-               ? api::Status::invalid_argument("strategy: empty name")
-               : api::Status::ok();
-  }
-  if (key == "store") {
-    store_path = std::string(trim(value));
-    return api::Status::ok();
-  }
-  if (key == "index") {
-    index_path = std::string(trim(value));
-    return api::Status::ok();
-  }
-  if (key == "metric") {
-    auto parsed = query::parse_metric(trim(value));
-    if (!parsed.ok()) return parsed.status();
-    metric = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "k") return set_unsigned(k, key, value);
-  if (key == "aggregate") {
-    auto parsed = query::parse_aggregate(trim(value));
-    if (!parsed.ok()) return parsed.status();
-    aggregate = std::string(query::aggregate_name(parsed.value()));
-    return api::Status::ok();
-  }
-  if (key == "filter") {
-    const std::string_view range = trim(value);
-    const std::size_t colon = range.find(':');
-    if (colon == std::string_view::npos)
-      return api::Status::invalid_argument(
-          "filter: expected LO:HI (ids in [LO, HI)), got " + quoted(range));
-    vid_t begin = 0, end = 0;
-    if (api::Status s = set_unsigned(begin, key, range.substr(0, colon));
-        !s.is_ok())
-      return s;
-    if (api::Status s = set_unsigned(end, key, range.substr(colon + 1));
-        !s.is_ok())
-      return s;
-    filter_begin = begin;
-    filter_end = end;
-    return api::Status::ok();
-  }
-  if (key == "threads") return set_unsigned(threads, key, value);
-  if (key == "block-rows") return set_unsigned(block_rows, key, value);
-  if (key == "ef") return set_unsigned(ef_search, key, value);
-  if (key == "M") return set_unsigned(hnsw_m, key, value);
-  if (key == "ef-construction")
-    return set_unsigned(ef_construction, key, value);
-  if (key == "seed") return set_unsigned(seed, key, value);
-  if (key == "batch") return set_unsigned(max_batch, key, value);
-  if (key == "cache") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("cache: " +
-                                           parsed.status().message());
-    cache_enabled = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "cache-threshold") {
-    auto parsed = api::parse_real(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("cache-threshold: " +
-                                           parsed.status().message());
-    cache_threshold = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "cache-capacity")
-    return set_unsigned(cache_capacity, key, value);
-  if (key == "cache-ttl-ms") return set_unsigned(cache_ttl_ms, key, value);
-  if (key == "shard") {
-    // "I/N" (also accepts "I:N"): this process serves shard I of N.
-    const std::string_view spec = trim(value);
-    std::size_t sep = spec.find('/');
-    if (sep == std::string_view::npos) sep = spec.find(':');
-    if (sep == std::string_view::npos)
-      return api::Status::invalid_argument(
-          "shard: expected I/N (serve shard I of N), got " + quoted(spec));
-    unsigned index = 0, count = 0;
-    if (api::Status s = set_unsigned(index, key, spec.substr(0, sep));
-        !s.is_ok())
-      return s;
-    if (api::Status s = set_unsigned(count, key, spec.substr(sep + 1));
-        !s.is_ok())
-      return s;
-    shard_index = index;
-    shard_count = count;
-    return api::Status::ok();
-  }
-  if (key == "backends") {
-    backends = std::string(trim(value));
-    return api::Status::ok();
-  }
-  if (key == "remote-deadline-ms")
-    return set_unsigned(remote_deadline_ms, key, value);
-  if (key == "retries") return set_unsigned(remote_retries, key, value);
-  if (key == "hedge-after-ms") return set_unsigned(hedge_after_ms, key, value);
-  if (key == "breaker-failures")
-    return set_unsigned(breaker_failures, key, value);
-  if (key == "breaker-cooldown-ms")
-    return set_unsigned(breaker_cooldown_ms, key, value);
-  if (key == "probe-interval-ms")
-    return set_unsigned(probe_interval_ms, key, value);
-  if (key == "require-all-shards") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("require-all-shards: " +
-                                           parsed.status().message());
-    require_all_shards = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "verify") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("verify: " +
-                                           parsed.status().message());
-    verify_checksums = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "build-index") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("build-index: " +
-                                           parsed.status().message());
-    build_index = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "queries") {
-    queries_path = std::string(trim(value));
-    return api::Status::ok();
-  }
-  if (key == "eval") return set_unsigned(eval_samples, key, value);
-  if (key == "recall-floor") {
-    auto parsed = api::parse_real(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("recall-floor: " +
-                                           parsed.status().message());
-    recall_floor = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "metrics") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("metrics: " +
-                                           parsed.status().message());
-    dump_metrics = parsed.value();
-    return api::Status::ok();
-  }
-  return api::Status::invalid_argument("unknown serving option " +
-                                       quoted(key));
+  return table().set(*this, key, value);
 }
 
 api::Status ServeOptions::validate() const {
@@ -288,55 +258,7 @@ api::Status ServeOptions::validate() const {
 }
 
 api::Result<ServeOptions> ServeOptions::from_args(int argc, char** argv) {
-  ServeOptions options;
-  api::KeyValuePairs pairs;
-  std::string options_file;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      options.show_help = true;
-      return options;  // caller prints usage; nothing else matters
-    }
-    if (!arg.starts_with("--"))
-      return api::Status::invalid_argument("stray argument " + quoted(arg) +
-                                           " (flags start with --)");
-    const std::string_view key = arg.substr(2);
-    if (key == "build-index" || key == "metrics" || key == "cache" ||
-        key == "require-all-shards") {
-      pairs.emplace_back(std::string(key), "true");
-      continue;
-    }
-    if (key == "no-verify") {
-      pairs.emplace_back("verify", "false");
-      continue;
-    }
-    if (i + 1 >= argc)
-      return api::Status::invalid_argument("flag " + quoted(arg) +
-                                           " expects a value");
-    const std::string_view value = argv[++i];
-    if (key == "options") {
-      options_file = std::string(value);
-      continue;
-    }
-    pairs.emplace_back(std::string(key), std::string(value));
-  }
-
-  // File pairs apply before the CLI pairs: flags override the file.
-  if (!options_file.empty()) {
-    api::KeyValuePairs merged;
-    if (api::Status status = api::read_options_file(options_file, merged);
-        !status.is_ok())
-      return status;
-    merged.insert(merged.end(), pairs.begin(), pairs.end());
-    pairs = std::move(merged);
-  }
-  for (const auto& [key, value] : pairs) {
-    if (api::Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  if (api::Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_args(argc, argv);
 }
 
 api::Result<ServeOptions> ServeOptions::from_file(const std::string& path) {
@@ -345,16 +267,7 @@ api::Result<ServeOptions> ServeOptions::from_file(const std::string& path) {
 
 api::Result<ServeOptions> ServeOptions::from_file(const std::string& path,
                                                   const ServeOptions& base) {
-  api::KeyValuePairs pairs;
-  if (api::Status status = api::read_options_file(path, pairs); !status.is_ok())
-    return status;
-  ServeOptions options = base;
-  for (const auto& [key, value] : pairs) {
-    if (api::Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  if (api::Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_file(path, base);
 }
 
 }  // namespace gosh::serving

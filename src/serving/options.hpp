@@ -9,14 +9,15 @@
 //   * command line  — ServeOptions::from_args(argc, argv), strict parsing;
 //   * config file   — ServeOptions::from_file(path), key=value lines,
 //     '#' comments; keys are the CLI flag names without the "--".
-// `--options FILE` loads the file first and lets the remaining flags
-// override it, exactly like gosh_embed.
+// All three go through ServeOptions::table() (see api/option_table.hpp),
+// which also generates gosh_query's --help.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "gosh/api/option_table.hpp"
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
 #include "gosh/query/batch_queue.hpp"
@@ -134,7 +135,7 @@ struct ServeOptions {
   api::Status set(std::string_view key, std::string_view value);
 
   /// Parses a full command line. Boolean flags (--build-index,
-  /// --no-verify, --metrics, --help) take no value; everything else
+  /// --no-verify, --metrics, ...) need no value; everything else
   /// requires one. The result has already passed validate().
   static api::Result<ServeOptions> from_args(int argc, char** argv);
 
@@ -144,6 +145,9 @@ struct ServeOptions {
   static api::Result<ServeOptions> from_file(const std::string& path);
   static api::Result<ServeOptions> from_file(const std::string& path,
                                              const ServeOptions& base);
+
+  /// Every key: its parser, flag-ness and help line.
+  static const api::OptionTable<ServeOptions>& table();
 };
 
 }  // namespace gosh::serving

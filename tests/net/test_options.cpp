@@ -74,6 +74,33 @@ TEST(NetOptions, FromArgsParsesBooleansWithoutValues) {
   EXPECT_DOUBLE_EQ(parsed.value().rate_qps, 100.0);
 }
 
+TEST(NetOptions, ServingBareFlagsNeedNoValue) {
+  // gosh_serve speaks every gosh_query flag, the bare ones included: a
+  // bare flag must not swallow the next argument as its value.
+  auto strict = parse({"--store", "s", "--require-all-shards", "--port", "0"});
+  ASSERT_TRUE(strict.ok()) << strict.status().to_string();
+  EXPECT_TRUE(strict.value().serve.require_all_shards);
+  EXPECT_EQ(strict.value().port, 0u);
+
+  auto metrics = parse({"--store", "s", "--metrics"});
+  ASSERT_TRUE(metrics.ok()) << metrics.status().to_string();
+  EXPECT_TRUE(metrics.value().serve.dump_metrics);
+
+  auto build = parse({"--build-index", "--store", "s"});
+  ASSERT_TRUE(build.ok()) << build.status().to_string();
+  EXPECT_TRUE(build.value().serve.build_index);
+}
+
+TEST(NetOptions, StringValuesAreTrimmed) {
+  NetOptions options;
+  ASSERT_TRUE(options.set("host", " 0.0.0.0 ").is_ok());
+  ASSERT_TRUE(options.set("trace-out", "\ttrace.json ").is_ok());
+  ASSERT_TRUE(options.set("port-file", " port.txt").is_ok());
+  EXPECT_EQ(options.host, "0.0.0.0");
+  EXPECT_EQ(options.trace_out, "trace.json");
+  EXPECT_EQ(options.port_file, "port.txt");
+}
+
 TEST(NetOptions, FromArgsRejectsWhatValidateRejects) {
   // Missing store.
   EXPECT_FALSE(parse({"--port", "0"}).ok());

@@ -9,25 +9,8 @@
 // train split and is reused for both the link-prediction metric and the
 // written output (the output then covers the train split's compacted ids).
 //
-// Options (also accepted as key=value lines in an --options file):
-//   --input PATH        edge-list file (required unless --demo)
-//   --demo              use a generated LFR demo graph instead of a file
-//   --output PATH       embedding output (default: embedding.bin)
-//   --format text|binary|store  output format (default: binary; "store"
-//                       writes the mmap-served GSHS layout gosh_query reads)
-//   --backend NAME      auto|device|largegraph|multidevice|verse-cpu|
-//                       line-device|mile (default: auto)
-//   --preset fast|normal|slow|nocoarse   Table 3 preset (default: normal)
-//   --dim D             embedding dimension (default: 128)
-//   --epochs E          override the preset's epoch budget
-//   --device-mib M      emulated device memory (default: 512)
-//   --seed S            RNG seed (default: 42)
-//   --options FILE      load key=value options; flags override the file
-//   --eval              run the 80/20 link-prediction evaluation
-//   --verbose           narrate per-level progress
-//   --trace-out PATH    profile the run (per-level spans; rotation /
-//                       pool-wait / pair-kernel phases on the partitioned
-//                       path) and dump Chrome trace_event JSON to PATH
+// Flags: `gosh_embed --help`, generated from api::Options::table(); every
+// flag is also a key=value line of an --options file.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -38,14 +21,8 @@
 namespace {
 
 void usage() {
-  std::puts(
-      "usage: gosh_embed --input edges.txt [--output emb.bin]\n"
-      "                  [--format text|binary|store] [--rows-per-shard N]\n"
-      "                  [--backend NAME]\n"
-      "                  [--preset fast|normal|slow|nocoarse]\n"
-      "                  [--dim D] [--epochs E] [--device-mib M] [--seed S]\n"
-      "                  [--options FILE] [--eval] [--verbose]\n"
-      "                  [--trace-out trace.json] | --demo");
+  std::printf("usage: gosh_embed (--input edges.txt | --demo) [flags]\n%s",
+              gosh::api::Options::table().help().c_str());
 }
 
 /// Forwards every progress event to the wrapped observer (may be null)

@@ -15,31 +15,8 @@
 // answer); several segments = ONE multi-vector query whose candidate
 // scores combine under --aggregate (max|mean).
 //
-// Modes (exactly one):
-//   --build-index       build the HNSW index and write it beside the store
-//   --queries FILE|-    answer top-k for each input line (a FILE is served
-//                       as one batched request; stdin streams per line)
-//   --eval N            recall@k of --strategy vs the exact scan on N
-//                       sampled rows, plus q/s and p50/p99 latency
-// Strategy & request shape:
-//   --strategy S        exact|hnsw|batched|router|auto (default auto =
-//                       hnsw when the index file exists, else exact)
-//   --k K               neighbors per query (default 10)
-//   --metric M          cosine|dot|l2 (default cosine)
-//   --aggregate A       multi-vector combine rule: max|mean (default max)
-//   --filter LO:HI      only ids in [LO, HI) may appear in answers
-//   --batch B           max requests coalesced per scan (batched strategy)
-//   --ef EF             HNSW search beam width (default 64)
-//   --threads T         scan parallelism (default: all workers)
-//   --block-rows N      rows per scan block (default 2048)
-// Build / files / io:
-//   --index PATH        index file (default: STORE.hnsw)
-//   --M / --ef-construction   HNSW build shape (default 16 / 200)
-//   --seed S            build + --eval sampling seed (default 42)
-//   --recall-floor F    exit nonzero if --eval recall@k < F (CI hook)
-//   --no-verify         skip the store checksum pass at open
-//   --options FILE      key=value ServeOptions file; flags override it
-//   --metrics           dump the MetricsRegistry text exposition at exit
+// Modes (exactly one): --build-index, --queries FILE|-, --eval N. Flags:
+// `gosh_query --help`, generated from serving::ServeOptions::table().
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -59,16 +36,8 @@ using namespace gosh;
 void usage() {
   std::printf(
       "usage: gosh_query --store PATH (--build-index | --queries FILE|- |\n"
-      "                  --eval N) [serving flags] [tool flags]\n"
-      "serving flags (shared with gosh_serve):\n"
-      "%s"
-      "tool flags:\n"
-      "  --threads T            scan parallelism (default: all workers)\n"
-      "  --M M / --ef-construction EC   HNSW build shape (default 16 / 200)\n"
-      "  --seed S               build + --eval sampling seed (default 42)\n"
-      "  --recall-floor F       exit nonzero if --eval recall@k < F\n"
-      "  --metrics              dump the metrics exposition at exit\n",
-      api::serve_flags_usage());
+      "                  --eval N) [flags]\n%s",
+      serving::ServeOptions::table().help().c_str());
 }
 
 int fail(const api::Status& status) {

@@ -77,7 +77,7 @@ struct Options {
   std::string output_path = "embedding.bin";
   std::string output_format = "binary";     ///< "binary" | "text" | "store"
   /// Store format only: rows per GSHS shard file (0 = single shard). The
-  /// serving Router opens each shard as its own engine.
+  /// serving ShardRouter answers each shard separately and merges.
   std::uint64_t rows_per_shard = 0;
   bool run_eval = false;                    ///< link-prediction evaluation
   bool verbose = false;                     ///< narrate progress (Info log)

@@ -2,8 +2,9 @@
 //
 // The public surface is gosh::serving — the QueryService interface with
 // its QueryRequest/QueryResponse model, the string-keyed ServiceRegistry
-// ("exact", "hnsw", "batched", "router", "auto"), structured ServeOptions,
-// the sharded-store Router, and the MetricsRegistry sink. The engine
+// ("exact", "hnsw", "batched", "router", "dist-router", "auto"),
+// structured ServeOptions, the sharded-store ShardRouter, and the
+// MetricsRegistry sink. The engine
 // internals it is built from (gosh/store/ mmap store, gosh/query/ scans +
 // HNSW + BatchQueue) ride along for programmatic composition, but tools,
 // benches and examples should speak QueryService only.
@@ -12,8 +13,8 @@
 #include "gosh/serving/metrics.hpp"
 #include "gosh/serving/options.hpp"
 #include "gosh/serving/registry.hpp"
-#include "gosh/serving/router.hpp"
 #include "gosh/serving/service.hpp"
+#include "gosh/serving/shard_router.hpp"
 
 #include "gosh/query/batch_queue.hpp"
 #include "gosh/query/brute_force.hpp"

@@ -29,12 +29,13 @@ namespace gosh::serving {
 
 struct ServeOptions {
   // ---- Service selection. ----------------------------------------------
-  /// ServiceRegistry key ("exact", "hnsw", "batched", "router") or "auto"
+  /// ServiceRegistry key ("exact", "hnsw", "batched", "router",
+  /// "dist-router", "remote", "cached:<inner>") or "auto"
   /// = the index-present policy (hnsw when the index file exists beside
   /// the store, exact otherwise).
   std::string strategy = "auto";
-  /// Store root path ("--store"); every service opens it (the Router opens
-  /// each shard of it separately).
+  /// Store root path ("--store"); every service opens it (the ShardRouter
+  /// opens each shard of it separately).
   std::string store_path;
   /// HNSW index path; empty = "<store>.hnsw" beside the store.
   std::string index_path;

@@ -6,9 +6,8 @@
 #include <new>
 
 #include "gosh/cache/cached_service.hpp"
-#include "gosh/serving/dist_router.hpp"
 #include "gosh/serving/remote.hpp"
-#include "gosh/serving/router.hpp"
+#include "gosh/serving/shard_router.hpp"
 
 namespace gosh::serving {
 
@@ -37,7 +36,7 @@ void register_builtin_services(ServiceRegistry& registry) {
       "router",
       [](const ServeOptions& options, MetricsRegistry* metrics)
           -> api::Result<std::unique_ptr<QueryService>> {
-        auto service = Router::open(options, metrics);
+        auto service = ShardRouter::open(options, metrics);
         if (!service.ok()) return service.status();
         return std::unique_ptr<QueryService>(std::move(service).value());
       });
@@ -64,8 +63,8 @@ void register_builtin_services(ServiceRegistry& registry) {
         if (!service.ok()) return service.status();
         return std::unique_ptr<QueryService>(std::move(service).value());
       });
-  // "dist-router" scatters to remote shard children (one --backends group
-  // per shard) and k-way merges exactly like the in-process "router".
+  // "dist-router" is the same ShardRouter over remote shard children: one
+  // --backends group per shard, merged exactly like "router".
   (void)registry.add(
       "dist-router",
       [](const ServeOptions& options, MetricsRegistry* metrics)
@@ -73,7 +72,7 @@ void register_builtin_services(ServiceRegistry& registry) {
         auto groups = parse_backends(options.backends);
         if (!groups.ok()) return groups.status();
         auto service =
-            DistRouter::open(std::move(groups).value(), options, metrics);
+            ShardRouter::open(std::move(groups).value(), options, metrics);
         if (!service.ok()) return service.status();
         return std::unique_ptr<QueryService>(std::move(service).value());
       });

@@ -7,6 +7,8 @@
 //   "batched" — request-coalescing BatchQueue over the index-present
 //               policy's engine
 //   "router"  — one engine per store shard group, scatter + k-way merge
+//   "remote"  — forwards to replicas of one backend over HTTP
+//   "dist-router" — "router" over remote shard children (--backends)
 //   "auto"    — index-present policy: "hnsw" when the index file exists
 //               beside the store, "exact" otherwise
 // External code may add its own factories under new names — the seam a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <utility>
 
@@ -35,15 +34,33 @@ api::Result<Endpoint> parse_endpoint(std::string_view text) {
     return api::Status::invalid_argument("backend '" + std::string(text) +
                                          "': expected host:port");
   }
-  const std::string port_text(text.substr(colon + 1));
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || port < 1 || port > 65535) {
+  // A host never holds whitespace, control bytes or the spec's own
+  // separators (a ',' inside one line of the file form would otherwise
+  // end up in the host).
+  const std::string_view host = text.substr(0, colon);
+  if (std::any_of(host.begin(), host.end(), [](char c) {
+        return static_cast<unsigned char>(c) <= ' ' || c == '\x7f' ||
+               c == ',' || c == '|' || c == '#';
+      })) {
+    return api::Status::invalid_argument(
+        "backend '" + std::string(text) +
+        "': host must not contain whitespace, control characters, ',', "
+        "'|' or '#'");
+  }
+  // Digits only: no sign, no spaces, at most five of them.
+  const std::string_view digits = text.substr(colon + 1);
+  unsigned long port = 0;
+  if (digits.size() <= 5 &&
+      std::all_of(digits.begin(), digits.end(),
+                  [](char c) { return c >= '0' && c <= '9'; })) {
+    for (const char c : digits) port = port * 10 + (c - '0');
+  }
+  if (port < 1 || port > 65535) {
     return api::Status::invalid_argument("backend '" + std::string(text) +
                                          "': port must be in [1, 65535]");
   }
   Endpoint endpoint;
-  endpoint.host = std::string(text.substr(0, colon));
+  endpoint.host = std::string(host);
   endpoint.port = static_cast<unsigned short>(port);
   return endpoint;
 }
@@ -197,6 +214,7 @@ struct ReplicaSet::CallState {
   std::string body;
   std::uint64_t deadline_ns = 0;
   std::shared_ptr<trace::Trace> trace;  ///< captured at call() entry
+  std::string request_id;  ///< the trace's id as a header; empty untraced
 
   common::Mutex mutex;
   common::CondVar cv;
@@ -320,11 +338,14 @@ void ReplicaSet::attempt(Backend* backend, std::shared_ptr<CallState> state,
   // The remaining budget rides both ways: as the client's whole-exchange
   // bound AND as the X-Deadline-Ms header the server enforces before
   // dispatch — neither end works on a request the caller gave up on.
-  auto result = client->request(
-      "POST", state->target, state->body,
-      {{"Content-Type", "application/json"},
-       {"X-Deadline-Ms", std::to_string(remaining_ms)}},
-      remaining_ms);
+  std::vector<net::Header> headers = {
+      {"Content-Type", "application/json"},
+      {"X-Deadline-Ms", std::to_string(remaining_ms)}};
+  if (!state->request_id.empty()) {
+    headers.push_back({"X-Request-Id", state->request_id});
+  }
+  auto result = client->request("POST", state->target, state->body,
+                                std::move(headers), remaining_ms);
   const std::uint64_t end = trace::now_ns();
   const double seconds =
       static_cast<double>(end - begin) / 1'000'000'000.0;
@@ -383,6 +404,9 @@ api::Result<net::HttpResponse> ReplicaSet::call(const std::string& target,
   state->body = body;
   state->deadline_ns = deadline_ns;
   state->trace = trace::current_shared();
+  if (state->trace != nullptr) {
+    state->request_id = trace::sanitize_request_id(state->trace->request_id());
+  }
 
   Backend* primary = pick(nullptr);
   if (primary == nullptr) {
@@ -584,6 +608,45 @@ void ReplicaSet::probe_loop() {
   }
 }
 
+// ---- forward_query --------------------------------------------------------
+
+api::Result<QueryResponse> forward_query(ReplicaSet& replicas,
+                                         const QueryRequest& request,
+                                         ShardStatus& status) {
+  auto body = net::QueryHandler::render_request(request);
+  if (!body.ok()) return body.status();
+
+  CallStats stats;
+  auto wire = replicas.call("/v1/query", body.value().dump(), &stats);
+  status.backend = stats.backend;
+  status.retries = stats.retries;
+  status.hedged = stats.hedged;
+  status.seconds = stats.seconds;
+  status.error = stats.error;
+  status.ok = false;
+  if (!wire.ok()) return wire.status();
+
+  auto parsed = net::json::Value::parse(wire.value().body);
+  auto answer = parsed.ok()
+                    ? net::QueryHandler::parse_response(parsed.value())
+                    : api::Result<QueryResponse>(parsed.status());
+  if (!answer.ok()) {
+    status.error = "unparsable answer: " + answer.status().message();
+  } else if (answer.value().results.size() != request.queries.size()) {
+    // A wrong list count would mis-merge; it is a failed call instead.
+    status.error = "answered " +
+                   std::to_string(answer.value().results.size()) +
+                   " result lists for " +
+                   std::to_string(request.queries.size()) + " queries";
+  }
+  if (!status.error.empty()) {
+    return api::Status::unavailable("remote: backend " + stats.backend +
+                                    ": " + status.error);
+  }
+  status.ok = true;
+  return answer;
+}
+
 // ---- RemoteService --------------------------------------------------------
 
 api::Result<std::unique_ptr<RemoteService>> RemoteService::open(
@@ -668,35 +731,11 @@ api::Result<QueryResponse> RemoteService::serve(const QueryRequest& request) {
       !status.is_ok()) {
     return status;
   }
-  auto body = net::QueryHandler::render_request(request);
-  if (!body.ok()) return body.status();
-
-  CallStats stats;
-  auto wire = replicas_->call("/v1/query", body.value().dump(), &stats);
   ShardStatus status;
-  status.shard = 0;
-  status.backend = stats.backend;
-  status.ok = wire.ok();
-  status.retries = stats.retries;
-  status.hedged = stats.hedged;
-  status.seconds = stats.seconds;
-  status.error = stats.error;
-  if (!wire.ok()) return wire.status();
-
-  auto parsed = net::json::Value::parse(wire.value().body);
-  if (!parsed.ok()) {
-    return api::Status::unavailable("remote: backend " + stats.backend +
-                                    " answered unparsable JSON: " +
-                                    parsed.status().message());
-  }
-  auto response = net::QueryHandler::parse_response(parsed.value());
-  if (!response.ok()) {
-    return api::Status::unavailable("remote: backend " + stats.backend +
-                                    ": " + response.status().message());
-  }
+  auto response = forward_query(*replicas_, request, status);
+  if (!response.ok()) return response.status();
   QueryResponse out = std::move(response).value();
-  out.shards.clear();
-  out.shards.push_back(std::move(status));
+  out.shards.assign(1, std::move(status));
   out.seconds = timer.seconds();
   if (requests_ != nullptr) {
     requests_->increment();

@@ -1,7 +1,7 @@
 // gosh::serving remote scatter — the fault-tolerance layer under the
 // "remote:" and "dist-router" strategies.
 //
-// Three pieces, innermost out:
+// Four pieces, innermost out:
 //   * CircuitBreaker — per-backend closed -> open -> half-open state
 //     machine over trace::now_ns(). `breaker_failures` consecutive
 //     failures open it; after `breaker_cooldown_ms` ONE probe call is let
@@ -18,15 +18,19 @@
 //     backend's observed p99 when enough samples exist). First success
 //     wins; losers finish on their own bounded clock and are reaped by
 //     the destructor, so no thread outlives the set.
-//   * RemoteService — a QueryService whose serve() forwards the request
-//     as JSON (QueryHandler::render_request) to a ReplicaSet of backends
-//     all serving the SAME store, and parses the answer back
-//     (parse_response). Geometry (rows/dim) is learned from a backend's
-//     /healthz; row_vector() reads the local store file when one is
-//     named, since fetching raw rows is not on the wire.
+//     When the caller carries a trace, every attempt sends its request id
+//     as X-Request-Id, so the backend's trace joins the caller's.
+//   * forward_query — one query over the wire: render the request as JSON
+//     (QueryHandler::render_request), call() a ReplicaSet, parse the
+//     answer back (parse_response).
+//   * RemoteService — a QueryService that forward_query()s every request
+//     to a ReplicaSet of backends all serving the SAME store. Geometry
+//     (rows/dim) is learned from a backend's /healthz; row_vector() reads
+//     the local store file when one is named, since fetching raw rows is
+//     not on the wire.
 //
-// The DistRouter (dist_router.hpp) composes one ReplicaSet per shard on
-// top of this file.
+// The "dist-router" ShardRouter (shard_router.hpp) composes one ReplicaSet
+// per shard on top of this file and asks each through forward_query().
 #pragma once
 
 #include <atomic>
@@ -201,6 +205,16 @@ class ReplicaSet {
   unsigned outstanding_ GOSH_GUARDED_BY(lifecycle_mutex_) = 0;
   std::unique_ptr<std::thread> probe_thread_;
 };
+
+/// One query over the wire: renders `request`, POSTs it to /v1/query
+/// through `replicas` and parses the answer. `status` receives the call's
+/// backend, retries, hedge, seconds and error; `status.ok` mirrors the
+/// result. kInvalidArgument when the request does not render (a filter
+/// predicate without its [begin, end) range); kUnavailable when no replica
+/// answered, or the answer is not one result list per query.
+api::Result<QueryResponse> forward_query(ReplicaSet& replicas,
+                                         const QueryRequest& request,
+                                         ShardStatus& status);
 
 /// QueryService over a ReplicaSet of backends serving the SAME store —
 /// the "remote:" strategy. Vertex queries forward natively (the backend

@@ -8,8 +8,9 @@
 // queries — each a stored vertex (self-excluded from its own answer) or
 // one-or-more raw vectors scored jointly — plus per-request overrides
 // (k, ef, metric) and an optional vertex-filter predicate; every strategy
-// ("exact", "hnsw", "batched", the sharded Router) answers the same model,
-// so callers pick a strategy by registry key, not by API shape.
+// ("exact", "hnsw", "batched", the sharded "router"/"dist-router") answers
+// the same model, so callers pick a strategy by registry key, not by API
+// shape.
 #pragma once
 
 #include <memory>
@@ -72,7 +73,7 @@ struct QueryRequest {
   std::optional<Metric> metric;
   Aggregate aggregate = Aggregate::kMax;  ///< multi-vector combine rule
   /// Only ids passing the predicate may appear in answers (global ids,
-  /// also under the sharded Router). Empty = no filter.
+  /// also under the ShardRouter). Empty = no filter.
   RowFilter filter;
   /// The structured [begin, end) range behind `filter`, when the filter
   /// came off the wire or a --filter flag (0,0 = not expressible as a
@@ -105,12 +106,13 @@ constexpr std::string_view cache_outcome_name(CacheOutcome outcome) noexcept {
   }
 }
 
-/// How one shard of a distributed scatter fared — the per-shard
-/// annotation a degraded DistRouter response carries so callers can see
-/// WHICH shard is missing from a partial merge, not just that one is.
+/// How one shard of a scatter fared — the per-shard annotation every
+/// ShardRouter response carries, so callers of a degraded answer can see
+/// WHICH shard is missing from the partial merge, not just that one is.
 struct ShardStatus {
   unsigned shard = 0;       ///< shard index in the store's layout
-  std::string backend;      ///< "host:port" answering (or last tried)
+  std::string backend;      ///< "host:port" answering (or last tried);
+                            ///< empty for an in-process shard
   bool ok = false;          ///< this shard's rows are in the merge
   unsigned retries = 0;     ///< extra attempts spent on this shard
   bool hedged = false;      ///< a hedge request was launched
@@ -125,12 +127,12 @@ struct QueryResponse {
   /// caching strategy served the request; the HTTP handler surfaces it as
   /// a "cache" array for debuggability.
   std::vector<CacheOutcome> cache;
-  /// True when a distributed strategy answered from a PARTIAL merge (a
-  /// shard was down past its deadline/breaker). The results are still
-  /// correctly ranked — over the shards that answered.
+  /// True when a scattering strategy answered from a PARTIAL merge (a
+  /// shard failed, or was down past its deadline/breaker). The results
+  /// are still correctly ranked — over the shards that answered.
   bool degraded = false;
   /// Per-shard disposition, one entry per shard of the scattered store.
-  /// Empty unless a distributed strategy served the request.
+  /// Empty unless a scattering (or remote) strategy served the request.
   std::vector<ShardStatus> shards;
   double seconds = 0.0;  ///< service-side wall time for the whole request
 };

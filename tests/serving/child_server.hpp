@@ -17,14 +17,17 @@
 #include "gosh/serving/registry.hpp"
 #include "gosh/serving/remote.hpp"
 #include "gosh/store/embedding_store.hpp"
+#include "gosh/trace/trace.hpp"
 
 namespace gosh::serving {
 
 class ChildServer {
  public:
+  /// `tracer` (optional) records the child's request traces.
   explicit ChildServer(const ServeOptions& serve,
-                       const net::FaultOptions& chaos = {})
-      : chaos_(chaos) {
+                       const net::FaultOptions& chaos = {},
+                       trace::Tracer* tracer = nullptr)
+      : chaos_(chaos), tracer_(tracer) {
     auto service = make_service(serve, &metrics_);
     EXPECT_TRUE(service.ok()) << service.status().to_string();
     if (!service.ok()) return;
@@ -50,7 +53,8 @@ class ChildServer {
   /// pinned, so a stop()/start() cycle models a child process restarting
   /// on its configured address.
   void start() {
-    server_ = std::make_unique<net::HttpServer>(net_options_, &metrics_);
+    server_ =
+        std::make_unique<net::HttpServer>(net_options_, &metrics_, tracer_);
     server_->fault_injector().configure(chaos_);
     net::QueryHandler* handler = handler_.get();
     server_->handle("POST", "/v1/query",
@@ -80,6 +84,7 @@ class ChildServer {
 
  private:
   net::FaultOptions chaos_;
+  trace::Tracer* tracer_;
   MetricsRegistry metrics_;
   net::HealthState health_;
   std::unique_ptr<QueryService> service_;

@@ -1,20 +1,21 @@
-// DistRouter — scatter to remote shard children must be indistinguishable
-// from the in-process Router when every shard answers, degrade to an
-// annotated partial merge when one dies, and recover bit-identically once
-// the child is back (suite DistRouter* is in the TSan CI filter).
+// ShardRouter as "dist-router" — scatter to remote shard children must be
+// indistinguishable from the in-process "router" when every shard
+// answers, degrade to an annotated partial merge when one dies, and
+// recover bit-identically once the child is back (suite DistRouter* is in
+// the TSan CI filter).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "child_server.hpp"
 #include "common/temp_path.hpp"
-#include "gosh/serving/dist_router.hpp"
-#include "gosh/serving/router.hpp"
+#include "gosh/serving/shard_router.hpp"
 
 namespace gosh::serving {
 namespace {
@@ -121,7 +122,7 @@ TEST(DistRouter, MatchesTheInProcessRouterBitIdentically) {
   DistFixture fx;
   ChildSet set(fx);
   MetricsRegistry metrics;
-  auto dist = DistRouter::open(set.groups(), fx.parent_options(), &metrics);
+  auto dist = ShardRouter::open(set.groups(), fx.parent_options(), &metrics);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
   EXPECT_EQ(dist.value()->shard_count(), fx.shard_count);
   EXPECT_EQ(dist.value()->rows(), fx.rows);
@@ -165,7 +166,7 @@ TEST(DistRouter, MatchesTheInProcessRouterBitIdentically) {
 TEST(DistRouter, FiltersSpanningShardBoundariesSpeakGlobalIds) {
   DistFixture fx;
   ChildSet set(fx);
-  auto dist = DistRouter::open(set.groups(), fx.parent_options(), nullptr);
+  auto dist = ShardRouter::open(set.groups(), fx.parent_options(), nullptr);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
   ServeOptions local_options = fx.parent_options();
   local_options.strategy = "router";
@@ -194,7 +195,7 @@ TEST(DistRouter, FiltersSpanningShardBoundariesSpeakGlobalIds) {
 TEST(DistRouter, MultiVectorAndMetricOverridesForward) {
   DistFixture fx;
   ChildSet set(fx);
-  auto dist = DistRouter::open(set.groups(), fx.parent_options(), nullptr);
+  auto dist = ShardRouter::open(set.groups(), fx.parent_options(), nullptr);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
   ServeOptions local_options = fx.parent_options();
   local_options.strategy = "router";
@@ -223,13 +224,82 @@ TEST(DistRouter, MultiVectorAndMetricOverridesForward) {
   }
 }
 
+TEST(DistRouter, FilterPredicateWithoutARangeIsInvalidArgument) {
+  DistFixture fx;
+  ChildSet set(fx);
+  MetricsRegistry metrics;
+  auto dist = ShardRouter::open(set.groups(), fx.parent_options(), &metrics);
+  ASSERT_TRUE(dist.ok()) << dist.status().to_string();
+
+  // An arbitrary predicate cannot cross the wire. Every shard would refuse
+  // it alike, so the request fails as a whole rather than degrading.
+  QueryRequest request = QueryRequest::for_vertex(2, 10);
+  request.filter = [](vid_t v) { return v % 2 == 0; };
+  auto refused = dist.value()->serve(request);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), api::StatusCode::kInvalidArgument);
+  EXPECT_EQ(metrics.counter("gosh_remote_degraded_responses_total").value(),
+            0u);
+}
+
+TEST(DistRouter, ForwardsTheCallersRequestIdToEveryShard) {
+  // configure() flips the process-wide tracing gate; restore it last.
+  struct TracingOff {
+    ~TracingOff() { trace::set_enabled(false); }
+  } tracing_off;
+  trace::TraceOptions sample_all;
+  sample_all.sample_rate = 1.0;
+  trace::Tracer child_tracer(sample_all);
+
+  DistFixture fx;
+  std::vector<std::unique_ptr<ChildServer>> children;
+  std::vector<std::vector<Endpoint>> groups;
+  for (std::uint32_t s = 0; s < fx.shard_count; ++s) {
+    children.push_back(std::make_unique<ChildServer>(
+        fx.child_options(s), net::FaultOptions{}, &child_tracer));
+    groups.push_back({children.back()->endpoint()});
+  }
+  auto dist = ShardRouter::open(std::move(groups), fx.parent_options(),
+                                nullptr);
+  ASSERT_TRUE(dist.ok()) << dist.status().to_string();
+
+  trace::Tracer parent_tracer(sample_all);
+  std::shared_ptr<trace::Trace> parent = parent_tracer.begin("parent-req-7");
+  ASSERT_NE(parent, nullptr);
+  {
+    trace::ScopedTrace scope(parent);
+    auto answer = dist.value()->serve(QueryRequest::for_vertex(5, 12));
+    ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+    EXPECT_FALSE(answer.value().degraded);
+  }
+  parent_tracer.finish(parent);
+
+  // Each child traced its shard's query under the parent's request id...
+  std::size_t joined = 0;
+  for (const auto& child_trace : child_tracer.snapshot()) {
+    if (child_trace->request_id() == "parent-req-7") ++joined;
+  }
+  EXPECT_EQ(joined, fx.shard_count);
+  // ... and the parent's record holds every shard span, whether the shard
+  // ran inline or on a worker, with the remote calls under them.
+  std::set<std::string> names;
+  for (const trace::SpanRecord& span : parent->spans()) {
+    names.insert(span.name);
+  }
+  for (std::uint32_t s = 0; s < fx.shard_count; ++s) {
+    EXPECT_EQ(names.count("shard-" + std::to_string(s)), 1u) << s;
+  }
+  EXPECT_EQ(names.count("remote-call"), 1u);
+  EXPECT_EQ(names.count("merge"), 1u);
+}
+
 TEST(DistRouter, GroupCountMustMatchTheStoreShardCount) {
   DistFixture fx;
   ChildSet set(fx);
   auto groups = set.groups();
   groups.pop_back();  // 2 groups against a 3-shard store
-  auto dist = DistRouter::open(std::move(groups), fx.parent_options(),
-                               nullptr);
+  auto dist = ShardRouter::open(std::move(groups), fx.parent_options(),
+                                nullptr);
   ASSERT_FALSE(dist.ok());
   EXPECT_EQ(dist.status().code(), api::StatusCode::kInvalidArgument);
 }
@@ -254,7 +324,7 @@ TEST(DistRouter, DegradesThenRecoversBitIdentically) {
   MetricsRegistry metrics;
   ServeOptions options = fx.parent_options();
   options.remote_deadline_ms = 400;  // a dead child must not stall the merge
-  auto dist = DistRouter::open(set.groups(), options, &metrics);
+  auto dist = ShardRouter::open(set.groups(), options, &metrics);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
   ServeOptions local_options = fx.parent_options();
   local_options.strategy = "router";
@@ -295,7 +365,7 @@ TEST(DistRouter, DegradesThenRecoversBitIdentically) {
 
   // Restart the child on its pinned port; once the cooldown lapses one
   // half-open probe closes the breaker and the merge is whole — and
-  // bit-identical to the in-process Router — again.
+  // bit-identical to the in-process "router" — again.
   set.children[1]->start();
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   dist.value()->replicas(1).probe_now();
@@ -316,7 +386,7 @@ TEST(DistRouter, RequireAllShardsRefusesPartialMerges) {
   ServeOptions options = fx.parent_options();
   options.remote_deadline_ms = 400;
   options.require_all_shards = true;
-  auto dist = DistRouter::open(set.groups(), options, nullptr);
+  auto dist = ShardRouter::open(set.groups(), options, nullptr);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
 
   set.children[2]->stop();
@@ -342,7 +412,7 @@ TEST(DistRouter, ChaosStalledShardDegradesInsideTheDeadline) {
   MetricsRegistry metrics;
   ServeOptions options = fx.parent_options();
   options.remote_deadline_ms = 300;
-  auto dist = DistRouter::open(std::move(groups), options, &metrics);
+  auto dist = ShardRouter::open(std::move(groups), options, &metrics);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
 
   const auto start = std::chrono::steady_clock::now();

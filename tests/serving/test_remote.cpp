@@ -48,6 +48,16 @@ TEST(ReplicaSet, ParseBackendsRejectsMalformedSpecs) {
   EXPECT_FALSE(parse_backends("host:70000").ok());
   EXPECT_FALSE(parse_backends("host:12x").ok());
   EXPECT_FALSE(parse_backends("h1:1,|").ok());  // empty group
+  // The port is digits only; the host has no whitespace or control bytes.
+  EXPECT_FALSE(parse_backends("h:+80").ok());
+  EXPECT_FALSE(parse_backends("h:-80").ok());
+  EXPECT_FALSE(parse_backends("h: 80").ok());
+  EXPECT_FALSE(parse_backends("h:8 0").ok());
+  EXPECT_FALSE(parse_backends("h:000080").ok());
+  EXPECT_FALSE(parse_backends("h\t:80").ok());
+  EXPECT_FALSE(parse_backends("h x:80").ok());
+  EXPECT_FALSE(parse_backends("h#x:80").ok());
+  EXPECT_FALSE(parse_backends(std::string("h\0:80", 5)).ok());
 }
 
 TEST(ReplicaSet, ParseBackendsFileForm) {

@@ -1,7 +1,7 @@
-// Router — sharded-store serving must be indistinguishable from a single
-// engine over the unsharded matrix: same ids, same scores, same
-// deterministic (score desc, id asc) tie handling, under every metric
-// (suite Router* is in the TSan CI filter).
+// ShardRouter as "router" — sharded-store serving in-process must be
+// indistinguishable from a single engine over the unsharded matrix: same
+// ids, same scores, same deterministic (score desc, id asc) tie handling,
+// under every metric (suite Router* is in the TSan CI filter).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,7 @@
 
 #include "common/temp_path.hpp"
 #include "gosh/serving/registry.hpp"
-#include "gosh/serving/router.hpp"
+#include "gosh/serving/shard_router.hpp"
 
 namespace gosh::serving {
 namespace {
@@ -71,7 +71,7 @@ void expect_identical(const std::vector<query::Neighbor>& got,
 
 TEST(Router, OpensOneChildPerShardGroup) {
   ShardedFixture fx;
-  auto router = Router::open(fx.options(fx.sharded_path));
+  auto router = ShardRouter::open(fx.options(fx.sharded_path));
   ASSERT_TRUE(router.ok()) << router.status().to_string();
   EXPECT_EQ(router.value()->num_children(), fx.shard_count);
   EXPECT_EQ(router.value()->rows(), fx.rows);
@@ -178,7 +178,7 @@ TEST(Router, MultiVectorAndMetricOverridesScatterCorrectly) {
 
 TEST(Router, RowVectorResolvesAcrossShards) {
   ShardedFixture fx;
-  auto router = Router::open(fx.options(fx.sharded_path));
+  auto router = ShardRouter::open(fx.options(fx.sharded_path));
   ASSERT_TRUE(router.ok());
   auto flat = store::EmbeddingStore::open(fx.flat_path);
   ASSERT_TRUE(flat.ok());
@@ -205,6 +205,45 @@ TEST(Router, RecordsScatterMetrics) {
   EXPECT_EQ(metrics.counter("gosh_serving_requests_total").value(), 1u);
   EXPECT_EQ(metrics.counter("gosh_serving_router_scatters_total").value(),
             fx.shard_count);
+}
+
+TEST(Router, AnnotatesEveryShardAndSkipsShardsOutsideTheFilterRange) {
+  ShardedFixture fx;
+  MetricsRegistry metrics;
+  auto router = ShardRouter::open(fx.options(fx.sharded_path), &metrics);
+  ASSERT_TRUE(router.ok()) << router.status().to_string();
+
+  // A whole in-process scatter says so, one ok entry per shard.
+  auto response = router.value()->serve(QueryRequest::for_vertex(5, 12));
+  ASSERT_TRUE(response.ok()) << response.status().to_string();
+  EXPECT_FALSE(response.value().degraded);
+  ASSERT_EQ(response.value().shards.size(), fx.shard_count);
+  for (std::uint32_t s = 0; s < fx.shard_count; ++s) {
+    EXPECT_EQ(response.value().shards[s].shard, s);
+    EXPECT_TRUE(response.value().shards[s].ok) << "shard " << s;
+    EXPECT_TRUE(response.value().shards[s].error.empty()) << "shard " << s;
+  }
+  EXPECT_EQ(metrics.counter("gosh_remote_degraded_responses_total").value(),
+            0u);
+
+  // [0, 10) lies inside shard 0: the other shards answer empty, still ok.
+  QueryRequest ranged = QueryRequest::for_vertex(5, 12);
+  ranged.filter = [](vid_t v) { return v < 10; };
+  ranged.filter_begin = 0;
+  ranged.filter_end = 10;
+  auto filtered = router.value()->serve(ranged);
+  ASSERT_TRUE(filtered.ok()) << filtered.status().to_string();
+  EXPECT_FALSE(filtered.value().degraded);
+  ASSERT_EQ(filtered.value().shards.size(), fx.shard_count);
+  for (const ShardStatus& shard : filtered.value().shards) {
+    EXPECT_TRUE(shard.ok) << "shard " << shard.shard;
+  }
+  // Ten rows pass the filter; the probe itself is excluded.
+  ASSERT_EQ(filtered.value().results.front().size(), 9u);
+  for (const query::Neighbor& n : filtered.value().results.front()) {
+    EXPECT_LT(n.id, 10u);
+    EXPECT_NE(n.id, 5u);
+  }
 }
 
 TEST(Router, ConcurrentServeIsSafe) {

@@ -17,8 +17,8 @@ double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 LogisticRegression::LogisticRegression(const LogRegConfig& config)
     : config_(config) {}
 
-void LogisticRegression::fit(const EdgeFeatureSet& data) {
-  weights_.assign(data.dim, 0.0);
+void LogisticRegression::fit(const FeatureSource& data) {
+  weights_.assign(data.dim(), 0.0);
   intercept_ = 0.0;
   if (config_.solver == LogRegConfig::Solver::kBatch) {
     fit_batch(data);
@@ -27,20 +27,21 @@ void LogisticRegression::fit(const EdgeFeatureSet& data) {
   }
 }
 
-void LogisticRegression::fit_batch(const EdgeFeatureSet& data) {
+void LogisticRegression::fit_batch(const FeatureSource& data) {
   const std::size_t n = data.size();
-  const unsigned d = data.dim;
+  const unsigned d = data.dim();
   std::vector<double> gradient(d);
+  std::vector<float> scratch(d);
 
   for (unsigned iter = 0; iter < config_.max_iterations; ++iter) {
     std::fill(gradient.begin(), gradient.end(), 0.0);
     double intercept_gradient = 0.0;
 
     for (std::size_t i = 0; i < n; ++i) {
-      const float* x = data.row(i);
+      const float* x = data.row(i, scratch.data());
       double z = intercept_;
       for (unsigned j = 0; j < d; ++j) z += weights_[j] * x[j];
-      const double error = sigmoid(z) - data.labels[i];
+      const double error = sigmoid(z) - data.label(i);
       for (unsigned j = 0; j < d; ++j) gradient[j] += error * x[j];
       intercept_gradient += error;
     }
@@ -58,10 +59,11 @@ void LogisticRegression::fit_batch(const EdgeFeatureSet& data) {
   }
 }
 
-void LogisticRegression::fit_sgd(const EdgeFeatureSet& data) {
+void LogisticRegression::fit_sgd(const FeatureSource& data) {
   const std::size_t n = data.size();
-  const unsigned d = data.dim;
+  const unsigned d = data.dim();
   Rng rng(config_.seed);
+  std::vector<float> scratch(d);
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -74,10 +76,10 @@ void LogisticRegression::fit_sgd(const EdgeFeatureSet& data) {
     const double lr = config_.sgd_learning_rate /
                       (1.0 + 0.1 * static_cast<double>(epoch));
     for (std::size_t idx : order) {
-      const float* x = data.row(idx);
+      const float* x = data.row(idx, scratch.data());
       double z = intercept_;
       for (unsigned j = 0; j < d; ++j) z += weights_[j] * x[j];
-      const double error = sigmoid(z) - data.labels[idx];
+      const double error = sigmoid(z) - data.label(idx);
       for (unsigned j = 0; j < d; ++j) {
         weights_[j] -= lr * (error * x[j] + config_.l2 * weights_[j]);
       }
@@ -95,13 +97,20 @@ float LogisticRegression::predict_probability(const float* features) const {
 }
 
 std::vector<float> LogisticRegression::predict(
-    const EdgeFeatureSet& data) const {
+    const FeatureSource& data) const {
   std::vector<float> scores(data.size());
   ParallelForOptions options;
   options.grain = 1024;
-  parallel_for(
+  std::vector<std::vector<float>> scratch(effective_threads(options),
+                                          std::vector<float>(data.dim()));
+  parallel_for_worker(
       data.size(),
-      [&](std::size_t i) { scores[i] = predict_probability(data.row(i)); },
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        float* row = scratch[worker].data();
+        for (std::size_t i = begin; i < end; ++i) {
+          scores[i] = predict_probability(data.row(i, row));
+        }
+      },
       options);
   return scores;
 }

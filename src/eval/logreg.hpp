@@ -32,21 +32,23 @@ class LogisticRegression {
  public:
   explicit LogisticRegression(const LogRegConfig& config = {});
 
-  /// Fits weights (dim + intercept) on a feature set.
-  void fit(const EdgeFeatureSet& data);
+  /// Fits weights (dim + intercept) on a sample set, visiting one
+  /// on-demand feature row at a time.
+  void fit(const FeatureSource& data);
 
-  /// P(label = 1 | features of sample i).
+  /// P(label = 1 | features), `features` holding dim floats.
   float predict_probability(const float* features) const;
 
-  /// Scores a whole feature set.
-  std::vector<float> predict(const EdgeFeatureSet& data) const;
+  /// Scores a whole sample set in parallel, with one scratch row per
+  /// worker.
+  std::vector<float> predict(const FeatureSource& data) const;
 
   std::span<const double> weights() const noexcept { return weights_; }
   double intercept() const noexcept { return intercept_; }
 
  private:
-  void fit_batch(const EdgeFeatureSet& data);
-  void fit_sgd(const EdgeFeatureSet& data);
+  void fit_batch(const FeatureSource& data);
+  void fit_sgd(const FeatureSource& data);
 
   LogRegConfig config_;
   std::vector<double> weights_;

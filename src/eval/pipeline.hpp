@@ -35,6 +35,8 @@ struct LinkPredictionReport {
 };
 
 /// Evaluates `matrix` (the embedding of split.train) on split.test_edges.
+/// Throws std::invalid_argument (from auc_roc) when the test set holds one
+/// class only: no test edge, or no pair outside train and test edges.
 LinkPredictionReport evaluate_link_prediction(
     const embedding::EmbeddingMatrix& matrix,
     const graph::LinkPredictionSplit& split,

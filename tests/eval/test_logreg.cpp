@@ -1,6 +1,7 @@
 // Logistic regression fitting (batch and SGD solvers).
 #include <gtest/gtest.h>
 
+#include "eval/dense_features.hpp"
 #include "gosh/common/rng.hpp"
 #include "gosh/eval/aucroc.hpp"
 #include "gosh/eval/logreg.hpp"
@@ -8,10 +9,12 @@
 namespace gosh::eval {
 namespace {
 
+using testing_util::DenseFeatures;
+
 /// Linearly separable 2-feature set: label = [x0 + x1 > 0].
-EdgeFeatureSet separable_set(std::size_t n, std::uint64_t seed) {
-  EdgeFeatureSet set;
-  set.dim = 2;
+DenseFeatures separable_set(std::size_t n, std::uint64_t seed) {
+  DenseFeatures set;
+  set.width = 2;
   set.features.resize(n * 2);
   set.labels.resize(n);
   Rng rng(seed);
@@ -63,8 +66,8 @@ TEST(LogReg, ProbabilitiesAreCalibratedDirectionally) {
 }
 
 TEST(LogReg, BalancedNoiseStaysNearHalf) {
-  EdgeFeatureSet data;
-  data.dim = 4;
+  DenseFeatures data;
+  data.width = 4;
   const std::size_t n = 3000;
   data.features.resize(n * 4);
   data.labels.resize(n);

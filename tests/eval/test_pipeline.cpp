@@ -36,11 +36,14 @@ TEST(Features, HadamardProducts) {
   m.row(2)[0] = 0.5f; m.row(2)[1] = 4.0f;
   const auto set = build_edge_features(m, {{0, 1}}, {{1, 2}});
   ASSERT_EQ(set.size(), 2u);
-  EXPECT_FLOAT_EQ(set.row(0)[0], 3.0f);
-  EXPECT_FLOAT_EQ(set.row(0)[1], -2.0f);
+  float row0[2], row1[2];
+  set.row(0, row0);
+  set.row(1, row1);
+  EXPECT_FLOAT_EQ(row0[0], 3.0f);
+  EXPECT_FLOAT_EQ(row0[1], -2.0f);
   EXPECT_EQ(set.labels[0], 1);
-  EXPECT_FLOAT_EQ(set.row(1)[0], 1.5f);
-  EXPECT_FLOAT_EQ(set.row(1)[1], -4.0f);
+  EXPECT_FLOAT_EQ(row1[0], 1.5f);
+  EXPECT_FLOAT_EQ(row1[1], -4.0f);
   EXPECT_EQ(set.labels[1], 0);
 }
 

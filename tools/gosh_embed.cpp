@@ -13,6 +13,7 @@
 // flag is also a key=value line of an --options file.
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "gosh/api/api.hpp"
@@ -139,11 +140,22 @@ int main(int argc, char** argv) {
   api::EmbedResult result;
   if (options.run_eval) {
     const auto split = graph::split_for_link_prediction(g, {.seed = 1});
+    if (split.test_edges.empty()) {
+      return fail(api::Status::invalid_argument(
+          "--eval: the 80/20 split left no test edge; the graph is too "
+          "small to evaluate"));
+    }
     auto embedded = api::embed(split.train, options, observer);
     if (!embedded.ok()) return fail(embedded.status());
     result = std::move(embedded).value();
-    const auto report =
-        eval::evaluate_link_prediction(result.embedding, split);
+    eval::LinkPredictionReport report;
+    try {
+      report = eval::evaluate_link_prediction(result.embedding, split);
+    } catch (const std::invalid_argument& error) {
+      // A complete graph leaves no test non-edge: one class only.
+      return fail(api::Status::invalid_argument(std::string("--eval: ") +
+                                                error.what()));
+    }
     std::printf("link prediction: AUCROC %.2f%% (embedding %.2f s)\n",
                 100.0 * report.auc_roc, result.total_seconds);
     std::printf("note: output embeds the 80%% train split "

@@ -107,11 +107,17 @@ embedding::EmbeddingMatrix line_device_embed(const graph::Graph& graph,
 
         emb_t* source_row = matrix_device.data() + static_cast<std::size_t>(u) * d;
         std::memcpy(staged, source_row, d * sizeof(emb_t));
-        embedding::update_embedding(
-            staged, matrix_device.data() + static_cast<std::size_t>(v) * d, d,
-            1.0f, lr, sigmoid, rule);
+        // A sample equal to u would update u's global row underneath the
+        // staged copy only for the closing writeback to clobber it — skip
+        // it, as launch_train_epoch (embedding/trainer.cpp) does.
+        if (v != u) {
+          embedding::update_embedding(
+              staged, matrix_device.data() + static_cast<std::size_t>(v) * d,
+              d, 1.0f, lr, sigmoid, rule);
+        }
         for (unsigned k = 0; k < ns; ++k) {
           const vid_t negative = negatives.sample(n, rng);
+          if (negative == u) continue;
           embedding::update_embedding(
               staged,
               matrix_device.data() + static_cast<std::size_t>(negative) * d,

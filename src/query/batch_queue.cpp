@@ -3,43 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace gosh::query {
 
 using Clock = std::chrono::steady_clock;
 
-void QueryCounters::on_batch(std::size_t queries, double) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  queries_.fetch_add(queries, std::memory_order_relaxed);
-}
-
-void QueryCounters::on_query(double latency_seconds) {
-  const auto us = static_cast<std::uint64_t>(latency_seconds * 1e6);
-  latency_us_total_.fetch_add(us, std::memory_order_relaxed);
-  std::uint64_t seen = latency_us_max_.load(std::memory_order_relaxed);
-  while (us > seen &&
-         !latency_us_max_.compare_exchange_weak(seen, us,
-                                                std::memory_order_relaxed)) {
-  }
-}
-
-double QueryCounters::mean_batch_size() const noexcept {
-  const std::uint64_t b = batches();
-  return b == 0 ? 0.0 : static_cast<double>(queries()) / b;
-}
-
-double QueryCounters::mean_latency_seconds() const noexcept {
-  const std::uint64_t q = queries();
-  return q == 0 ? 0.0 : latency_us_total_.load() * 1e-6 / q;
-}
-
-double QueryCounters::max_latency_seconds() const noexcept {
-  return latency_us_max_.load() * 1e-6;
-}
-
-BatchQueue::BatchQueue(const QueryEngine& engine, BatchQueueOptions options,
-                       QueryObserver* observer)
-    : engine_(engine),
+BatchQueue::BatchQueue(unsigned dim, BatchScorer score,
+                       BatchQueueOptions options, QueryObserver* observer)
+    : dim_(dim),
+      score_(std::move(score)),
       options_(options),
       observer_(observer),
       dispatcher_([this] { dispatch_loop(); }) {}
@@ -52,10 +25,10 @@ std::future<std::vector<Neighbor>> BatchQueue::submit(
   request.enqueued = Clock::now();
   if (trace::enabled()) request.trace = trace::current_shared();
   auto future = request.promise.get_future();
-  if (query.size() != engine_.dim()) {
+  if (query.size() != dim_) {
     request.promise.set_exception(std::make_exception_ptr(std::runtime_error(
         "BatchQueue: query holds " + std::to_string(query.size()) +
-        " floats, engine dim is " + std::to_string(engine_.dim()))));
+        " floats, queue dim is " + std::to_string(dim_))));
     return future;
   }
   request.query = std::move(query);
@@ -105,16 +78,14 @@ void BatchQueue::dispatch_loop() {
       }
     }
 
-    const unsigned dim = engine_.dim();
-    std::vector<float> queries(batch.size() * dim);
+    std::vector<float> queries(batch.size() * dim_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       std::copy(batch[i].query.begin(), batch[i].query.end(),
-                queries.begin() + i * dim);
+                queries.begin() + i * dim_);
     }
 
     const auto scan_begin = Clock::now();
-    auto results = engine_.top_k_batch(queries, batch.size(), options_.k,
-                                       options_.strategy);
+    auto results = score_(queries, batch.size(), options_.k);
     const auto done = Clock::now();
 
     // Spans recorded explicitly (not via TRACE_SPAN): the dispatcher thread

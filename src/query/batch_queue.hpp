@@ -5,22 +5,26 @@
 // pending queries costs barely more than one that answers 1 (each mmap'd
 // block is read once and scored against every query while hot). The queue
 // therefore parks incoming requests, and a single dispatcher thread drains
-// up to `max_batch` of them per engine call, fulfilling each caller's
-// future. Latency is measured enqueue -> fulfillment and reported through
-// a ProgressObserver-style callback (QueryObserver); QueryCounters is the
-// batteries-included accumulator the CLI and bench print.
+// up to `max_batch` of them per call of its batch scorer, fulfilling each
+// caller's future. The queue owns no store: its owner hands it the query
+// dim and the scorer (serving::BatchedService passes its EngineService's
+// unmetered scoring path). Latency is measured enqueue -> fulfillment and
+// reported through a ProgressObserver-style callback (QueryObserver;
+// serving::MetricsQueryObserver streams it into a MetricsRegistry).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "gosh/api/status.hpp"
 #include "gosh/common/sync.hpp"
-#include "gosh/query/engine.hpp"
+#include "gosh/query/metric.hpp"
 #include "gosh/trace/trace.hpp"
 
 namespace gosh::query {
@@ -32,52 +36,38 @@ namespace gosh::query {
 class QueryObserver {
  public:
   virtual ~QueryObserver() = default;
-  /// One engine call serving `queries` coalesced requests.
+  /// One scorer call serving `queries` coalesced requests.
   virtual void on_batch(std::size_t /*queries*/, double /*seconds*/) {}
   /// One request fulfilled; `latency_seconds` covers enqueue -> result.
   virtual void on_query(double /*latency_seconds*/) {}
 };
 
-/// Default observer: lock-free running counters, readable while serving.
-class QueryCounters : public QueryObserver {
- public:
-  void on_batch(std::size_t queries, double seconds) override;
-  void on_query(double latency_seconds) override;
-
-  std::uint64_t queries() const noexcept { return queries_.load(); }
-  std::uint64_t batches() const noexcept { return batches_.load(); }
-  /// Mean coalescing factor; 0 when nothing was served yet.
-  double mean_batch_size() const noexcept;
-  double mean_latency_seconds() const noexcept;
-  double max_latency_seconds() const noexcept;
-
- private:
-  std::atomic<std::uint64_t> queries_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> latency_us_total_{0};
-  std::atomic<std::uint64_t> latency_us_max_{0};
-};
-
 struct BatchQueueOptions {
-  /// Most requests coalesced into one engine call.
+  /// Most requests coalesced into one scorer call.
   std::size_t max_batch = 64;
   /// Neighbors returned per request.
   unsigned k = 10;
-  Strategy strategy = Strategy::kExact;
 };
+
+/// Scores `count` back-to-back query vectors held in `queries`: one
+/// top-`k` list per query, or a Status that fails the whole batch.
+using BatchScorer =
+    std::function<api::Result<std::vector<std::vector<Neighbor>>>(
+        std::span<const float> queries, std::size_t count, unsigned k)>;
 
 class BatchQueue {
  public:
-  /// `engine` and `observer` (optional) must outlive the queue.
-  BatchQueue(const QueryEngine& engine, BatchQueueOptions options = {},
+  /// Queries are `dim` floats each. `score` and `observer` (optional) must
+  /// stay callable until the queue is destroyed.
+  BatchQueue(unsigned dim, BatchScorer score, BatchQueueOptions options = {},
              QueryObserver* observer = nullptr);
   BatchQueue(const BatchQueue&) = delete;
   BatchQueue& operator=(const BatchQueue&) = delete;
   /// Drains pending requests, then joins the dispatcher.
   ~BatchQueue();
 
-  /// Enqueues one query (must be engine dim() floats; a wrong size or a
-  /// stopped queue surfaces as a broken future carrying a runtime_error).
+  /// Enqueues one query (must be `dim` floats; a wrong size or a stopped
+  /// queue surfaces as a broken future carrying a runtime_error).
   /// Thread-safe.
   std::future<std::vector<Neighbor>> submit(std::vector<float> query);
 
@@ -99,7 +89,8 @@ class BatchQueue {
 
   void dispatch_loop();
 
-  const QueryEngine& engine_;
+  const unsigned dim_;
+  const BatchScorer score_;
   const BatchQueueOptions options_;
   QueryObserver* observer_;
 

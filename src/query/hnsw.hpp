@@ -67,7 +67,7 @@ class HnswIndex {
   /// Builds the index over every row of `store` (offline, sequential
   /// insertions; O(rows * ef_construction) distance evaluations).
   /// `precomputed_inv_norms` (cosine only) skips the full-store norm pass
-  /// when the caller — e.g. a QueryEngine — already holds
+  /// when the caller — e.g. a serving::EngineService — already holds
   /// row_inverse_norms(store, metric); it must have store.rows() entries.
   static HnswIndex build(const store::EmbeddingStore& store,
                          const HnswOptions& options = {},
@@ -75,8 +75,8 @@ class HnswIndex {
 
   /// Approximate top-k of `query` (length = store.dim()). `ef` is the
   /// layer-0 beam width; it is clamped up to `k`. `store` must be the
-  /// store the index was built over (rows/dim are validated by the
-  /// QueryEngine before calling). A non-empty `filter` keeps filtered-out
+  /// store the index was built over (rows/dim are validated when the
+  /// EngineService attaches it). A non-empty `filter` keeps filtered-out
   /// nodes navigable (the graph stays connected) but bars them from the
   /// result set; callers wanting exact-strategy-like coverage under a
   /// selective filter should widen `ef`.

@@ -1,9 +1,8 @@
 // MetricsRegistry — the unified Prometheus-style metrics sink.
 //
 // The training side reports through api::ProgressObserver and the serving
-// side through query::QueryObserver; both used to end at ad-hoc printf
-// accumulators (QueryCounters, bench averages). The registry closes that
-// gap: named monotonic Counters and fixed-bucket latency Histograms
+// side through query::QueryObserver. The registry is where both land:
+// named monotonic Counters and fixed-bucket latency Histograms
 // (p50/p99 readable at any time), exposed in the text format scrapers
 // expect. MetricsQueryObserver / MetricsProgressObserver are the adapters
 // that stream the two observer callback surfaces into one registry, so a

@@ -82,15 +82,6 @@ std::string ServeOptions::resolved_index_path() const {
                             : index_path;
 }
 
-query::QueryEngineOptions ServeOptions::engine_options() const {
-  query::QueryEngineOptions options;
-  options.metric = metric;
-  options.threads = threads;
-  options.block_rows = static_cast<std::size_t>(block_rows);
-  options.ef_search = ef_search;
-  return options;
-}
-
 query::HnswOptions ServeOptions::hnsw_options() const {
   query::HnswOptions options;
   options.M = hnsw_m;
@@ -230,10 +221,11 @@ api::Status ServeOptions::validate() const {
                  std::to_string(filter_begin) + ", " +
                  std::to_string(filter_end) + ")");
   }
-  // The engine-shape checks live with QueryEngineOptions so programmatic
-  // engine users hit the identical rules.
-  if (api::Status status = engine_options().validate(); !status.is_ok())
-    return status;
+  if (block_rows < 1)
+    return bad("block-rows: block_rows must be >= 1 (0 would scan nothing)");
+  if (ef_search < 1)
+    return bad("ef: ef_search must be >= 1 (0 would search nothing)");
+  if (threads > 1024) return bad("threads: must be <= 1024");
   if (hnsw_m < 2 || hnsw_m > 512) return bad("M: must be in [2, 512]");
   if (ef_construction < 1) return bad("ef-construction: must be >= 1");
   if (max_batch < 1) return bad("batch: must be >= 1");

@@ -1,6 +1,6 @@
 // ServeOptions — the serving twin of api::Options.
 //
-// Subsumes the scattered per-component knobs (QueryEngineOptions,
+// Subsumes the scattered per-component knobs (the engine's scan shape,
 // BatchQueueOptions, the HNSW build/search parameters, OpenOptions) plus
 // the service-level selection (strategy key, default k, multi-vector
 // aggregate, id-range filter) and the gosh_query tool modes, with the same
@@ -21,7 +21,6 @@
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
 #include "gosh/query/batch_queue.hpp"
-#include "gosh/query/engine.hpp"
 #include "gosh/query/hnsw.hpp"
 #include "gosh/store/embedding_store.hpp"
 
@@ -50,7 +49,7 @@ struct ServeOptions {
   vid_t filter_begin = 0;
   vid_t filter_end = 0;
 
-  // ---- Engine shape (subsumes QueryEngineOptions). ----------------------
+  // ---- Engine shape (EngineService). ------------------------------------
   unsigned threads = 0;         ///< scan parallelism; 0 = every worker
   std::uint64_t block_rows = 2048;
   unsigned ef_search = 64;      ///< "--ef"
@@ -118,7 +117,6 @@ struct ServeOptions {
   /// The resolved index file ("<store>.hnsw" when index_path is empty).
   std::string resolved_index_path() const;
   /// The subsumed structs, for code layering onto the query internals.
-  query::QueryEngineOptions engine_options() const;
   query::HnswOptions hnsw_options() const;
   query::BatchQueueOptions batch_options() const;
   store::OpenOptions open_options() const;

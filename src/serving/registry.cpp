@@ -11,10 +11,24 @@
 
 namespace gosh::serving {
 
+std::string_view strategy_name(Strategy strategy) noexcept {
+  return strategy == Strategy::kExact ? "exact" : "hnsw";
+}
+
+api::Result<Strategy> parse_strategy(std::string_view name) {
+  if (name == "exact") return Strategy::kExact;
+  if (name == "hnsw") return Strategy::kHnsw;
+  // Enumerate the valid names, BackendRegistry-style, so a typo is
+  // self-correcting from the message alone.
+  return api::Status::invalid_argument("unknown strategy '" +
+                                       std::string(name) +
+                                       "' (valid: exact, hnsw)");
+}
+
 namespace {
 
 void register_builtin_services(ServiceRegistry& registry) {
-  const auto engine_factory = [](query::Strategy strategy) {
+  const auto engine_factory = [](Strategy strategy) {
     return [strategy](const ServeOptions& options, MetricsRegistry* metrics)
                -> api::Result<std::unique_ptr<QueryService>> {
       auto service = EngineService::open(options, strategy, metrics);
@@ -22,8 +36,8 @@ void register_builtin_services(ServiceRegistry& registry) {
       return std::unique_ptr<QueryService>(std::move(service).value());
     };
   };
-  (void)registry.add("exact", engine_factory(query::Strategy::kExact));
-  (void)registry.add("hnsw", engine_factory(query::Strategy::kHnsw));
+  (void)registry.add("exact", engine_factory(Strategy::kExact));
+  (void)registry.add("hnsw", engine_factory(Strategy::kHnsw));
   (void)registry.add(
       "batched",
       [](const ServeOptions& options, MetricsRegistry* metrics)

@@ -26,6 +26,18 @@
 
 namespace gosh::serving {
 
+/// The two strategies one EngineService answers with — the registry's
+/// "exact" and "hnsw" keys.
+enum class Strategy {
+  kExact,  ///< blocked parallel brute-force scan (ground truth)
+  kHnsw,   ///< approximate graph index (requires attach/build/load)
+};
+
+std::string_view strategy_name(Strategy strategy) noexcept;
+
+/// "exact" | "hnsw"; anything else is kInvalidArgument.
+api::Result<Strategy> parse_strategy(std::string_view name);
+
 using ServiceFactory = std::function<api::Result<std::unique_ptr<QueryService>>(
     const ServeOptions&, MetricsRegistry*)>;
 

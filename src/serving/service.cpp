@@ -9,6 +9,7 @@
 #include "gosh/common/parallel_for.hpp"
 #include "gosh/common/timer.hpp"
 #include "gosh/query/brute_force.hpp"
+#include "gosh/serving/registry.hpp"
 #include "gosh/trace/trace.hpp"
 
 namespace gosh::serving {
@@ -91,8 +92,7 @@ api::Result<std::vector<Neighbor>> QueryService::top_k_vertex(vid_t v,
 // ---- EngineService --------------------------------------------------------
 
 api::Result<std::unique_ptr<EngineService>> EngineService::open(
-    const ServeOptions& options, query::Strategy strategy,
-    MetricsRegistry* metrics) {
+    const ServeOptions& options, Strategy strategy, MetricsRegistry* metrics) {
   // --shard I/N: serve one shard of a sharded store as a whole store in
   // LOCAL ids — the dist-router child's view of the world.
   auto opened =
@@ -103,29 +103,35 @@ api::Result<std::unique_ptr<EngineService>> EngineService::open(
           : store::EmbeddingStore::open(options.store_path,
                                         options.open_options());
   if (!opened.ok()) return opened.status();
-  auto engine = query::QueryEngine::create(std::move(opened).value(),
-                                           options.engine_options());
-  if (!engine.ok()) return engine.status();
-  auto service = std::make_unique<EngineService>(
-      std::move(engine).value(), strategy, options, metrics);
-  if (strategy == query::Strategy::kHnsw) {
-    if (api::Status status =
-            service->engine_.load_index(options.resolved_index_path());
-        !status.is_ok()) {
-      return status;
-    }
+  auto service =
+      create(std::move(opened).value(), strategy, options, metrics);
+  if (!service.ok() || strategy != Strategy::kHnsw) return service;
+  if (api::Status status =
+          service.value()->load_index(options.resolved_index_path());
+      !status.is_ok()) {
+    return status;
   }
   return service;
 }
 
-EngineService::EngineService(query::QueryEngine engine,
-                             query::Strategy strategy,
-                             const ServeOptions& defaults,
+api::Result<std::unique_ptr<EngineService>> EngineService::create(
+    store::EmbeddingStore store, Strategy strategy,
+    const ServeOptions& options, MetricsRegistry* metrics) {
+  if (api::Status status = options.validate(); !status.is_ok()) return status;
+  return std::unique_ptr<EngineService>(
+      new EngineService(std::move(store), strategy, options, metrics));
+}
+
+EngineService::EngineService(store::EmbeddingStore store, Strategy strategy,
+                             const ServeOptions& options,
                              MetricsRegistry* metrics)
-    : engine_(std::move(engine)),
+    : store_(std::move(store)),
       strategy_(strategy),
-      default_k_(defaults.k),
-      default_ef_(defaults.ef_search) {
+      metric_(options.metric),
+      scan_{.threads = options.threads,
+            .block_rows = static_cast<std::size_t>(options.block_rows)},
+      default_k_(options.k),
+      default_ef_(options.ef_search) {
   if (metrics != nullptr) {
     requests_ = &metrics->counter("gosh_serving_requests_total",
                                   "QueryService requests served");
@@ -134,21 +140,53 @@ EngineService::EngineService(query::QueryEngine engine,
     seconds_ = &metrics->histogram("gosh_serving_request_seconds",
                                    "Wall time per QueryService request");
   }
-  // Metric overrides are lock-free at serve time: the only mutable state a
-  // cosine override needs (norms for a non-cosine engine) is prepared
-  // here, with one extra pass over the store.
-  if (engine_.metric() != Metric::kCosine &&
-      strategy_ == query::Strategy::kExact) {
-    override_cosine_norms_ =
-        query::row_inverse_norms(engine_.store(), Metric::kCosine);
+  // Metric overrides are lock-free at serve time: the only norms a cosine
+  // override needs on a non-cosine exact engine are computed here too.
+  if (metric_ == Metric::kCosine || strategy_ == Strategy::kExact) {
+    cosine_norms_ = query::row_inverse_norms(store_, Metric::kCosine);
   }
+}
+
+std::string_view EngineService::strategy_name() const noexcept {
+  return serving::strategy_name(strategy_);
+}
+
+api::Status EngineService::attach_index(query::HnswIndex index) {
+  if (index.rows() != store_.rows() || index.dim() != store_.dim()) {
+    return api::Status::invalid_argument(
+        "hnsw index shape (" + std::to_string(index.rows()) + " x " +
+        std::to_string(index.dim()) + ") does not match the store (" +
+        std::to_string(store_.rows()) + " x " + std::to_string(store_.dim()) +
+        ")");
+  }
+  if (index.metric() != metric_) {
+    return api::Status::invalid_argument(
+        std::string("hnsw index was built for metric '") +
+        std::string(query::metric_name(index.metric())) +
+        "', engine serves '" + std::string(query::metric_name(metric_)) +
+        "'");
+  }
+  index_ = std::move(index);
+  return api::Status::ok();
+}
+
+api::Status EngineService::build_index(query::HnswOptions options) {
+  options.metric = metric_;
+  // The engine's norms skip a second full pass over a possibly
+  // SSD-resident store.
+  return attach_index(
+      query::HnswIndex::build(store_, options, norms_for(metric_)));
+}
+
+api::Status EngineService::load_index(const std::string& path) {
+  auto loaded = query::HnswIndex::load(path);
+  if (!loaded.ok()) return loaded.status();
+  return attach_index(std::move(loaded).value());
 }
 
 std::span<const float> EngineService::norms_for(Metric metric) const noexcept {
   if (metric != Metric::kCosine) return {};
-  return engine_.metric() == Metric::kCosine
-             ? engine_.inv_norms()
-             : std::span<const float>(override_cosine_norms_);
+  return cosine_norms_;
 }
 
 api::Result<std::vector<float>> EngineService::row_vector(vid_t v) const {
@@ -157,7 +195,7 @@ api::Result<std::vector<float>> EngineService::row_vector(vid_t v) const {
         "vertex " + std::to_string(v) + " out of range (store has " +
         std::to_string(rows()) + " rows)");
   }
-  const auto row = engine_.store().row(v);
+  const auto row = store_.row(v);
   return std::vector<float>(row.begin(), row.end());
 }
 
@@ -165,137 +203,43 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
   WallTimer timer;
   const unsigned k = request.k > 0 ? request.k : default_k_;
   const unsigned ef = request.ef > 0 ? request.ef : default_ef_;
-  const Metric metric = request.metric.value_or(engine_.metric());
+  const Metric metric = request.metric.value_or(metric_);
 
   if (api::Status status = check_request(request, rows(), dim(), k);
       !status.is_ok()) {
     return status;
   }
-  if (strategy_ == query::Strategy::kHnsw && metric != engine_.metric()) {
-    return api::Status::invalid_argument(
-        std::string("hnsw index was built for metric '") +
-        std::string(query::metric_name(engine_.metric())) +
-        "', request asks for '" + std::string(query::metric_name(metric)) +
-        "'");
-  }
 
   // Vertex queries fetch one extra neighbor so dropping the probe itself
-  // still leaves k answers — the QueryEngine::top_k_vertex idiom.
+  // still leaves k answers.
   const bool any_vertex =
       std::any_of(request.queries.begin(), request.queries.end(),
                   [](const Query& q) { return q.is_vertex; });
   const unsigned fetch_k = any_vertex ? k + 1 : k;
 
-  QueryResponse response;
-  response.results.resize(request.queries.size());
-
   TRACE_SPAN("scan");
-  if (strategy_ == query::Strategy::kExact) {
-    // Flatten the batch into the generalized scan's shape: one flat vector
-    // buffer plus per-query vector counts.
-    std::vector<float> vectors;
-    std::vector<std::size_t> counts;
-    counts.reserve(request.queries.size());
-    for (const Query& query : request.queries) {
-      if (query.is_vertex) {
-        const auto row = engine_.store().row(query.vertex_id);
-        vectors.insert(vectors.end(), row.begin(), row.end());
-        counts.push_back(1);
-      } else {
-        vectors.insert(vectors.end(), query.vectors.begin(),
-                       query.vectors.end());
-        counts.push_back(query.vector_count);
-      }
+  // Flatten the batch into score()'s shape: one flat vector buffer plus
+  // per-query vector counts.
+  std::vector<float> vectors;
+  std::vector<std::size_t> counts;
+  counts.reserve(request.queries.size());
+  for (const Query& query : request.queries) {
+    if (query.is_vertex) {
+      const auto row = store_.row(query.vertex_id);
+      vectors.insert(vectors.end(), row.begin(), row.end());
+      counts.push_back(1);
+    } else {
+      vectors.insert(vectors.end(), query.vectors.begin(),
+                     query.vectors.end());
+      counts.push_back(query.vector_count);
     }
-    query::ScanOptions scan;
-    scan.threads = engine_.options().threads;
-    scan.block_rows = engine_.options().block_rows;
-    auto scanned = query::scan_top_k_multi(
-        engine_.store(), vectors, counts, fetch_k, metric, norms_for(metric),
-        request.aggregate, request.filter, scan);
-    // check_request vets the shapes first, but the scan's own validation
-    // (buffer/count mismatch, missing norms) must surface as a Status, not
-    // an out-of-bounds read.
-    if (!scanned.ok()) return scanned.status();
-    response.results = std::move(scanned).value();
-  } else {
-    // HNSW: one beam search per vector, fanned across the pool. A filter
-    // narrows what the beam may keep, so widen it; multi-vector queries
-    // union their per-vector candidates and re-score under the aggregate.
-    const unsigned ef_effective =
-        request.filter ? std::max(ef, 2 * fetch_k) : ef;
-    ParallelForOptions parallel;
-    parallel.threads = engine_.options().threads;
-    parallel.grain = 1;
-    parallel_for(
-        request.queries.size(),
-        [&](std::size_t q) {
-          const Query& query = request.queries[q];
-          if (query.is_vertex || query.vector_count == 1) {
-            const std::span<const float> vec =
-                query.is_vertex
-                    ? engine_.store().row(query.vertex_id)
-                    : std::span<const float>(query.vectors);
-            response.results[q] = engine_.index().search(
-                engine_.store(), vec, fetch_k, ef_effective, request.filter);
-            return;
-          }
-          // Multi-vector: candidates from each vector's beam...
-          std::vector<Neighbor> candidates;
-          for (std::size_t i = 0; i < query.vector_count; ++i) {
-            const auto vec =
-                std::span<const float>(query.vectors).subspan(i * dim(), dim());
-            auto found = engine_.index().search(engine_.store(), vec, fetch_k,
-                                                ef_effective, request.filter);
-            candidates.insert(candidates.end(), found.begin(), found.end());
-          }
-          std::sort(candidates.begin(), candidates.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      return a.id < b.id;
-                    });
-          candidates.erase(std::unique(candidates.begin(), candidates.end(),
-                                       [](const Neighbor& a,
-                                          const Neighbor& b) {
-                                         return a.id == b.id;
-                                       }),
-                           candidates.end());
-          // ...then re-scored exactly under the aggregate rule.
-          const std::span<const float> row_norms = engine_.inv_norms();
-          std::vector<float> vec_norms(
-              metric == Metric::kCosine ? query.vector_count : 0);
-          for (std::size_t i = 0; i < vec_norms.size(); ++i) {
-            vec_norms[i] =
-                query::inverse_norm(query.vectors.data() + i * dim(), dim());
-          }
-          for (Neighbor& candidate : candidates) {
-            const float* row = engine_.store().row(candidate.id).data();
-            const float row_inv =
-                metric == Metric::kCosine ? row_norms[candidate.id] : 0.0f;
-            float score = 0.0f;
-            for (std::size_t i = 0; i < query.vector_count; ++i) {
-              const float* vec = query.vectors.data() + i * dim();
-              const float vec_inv =
-                  metric == Metric::kCosine ? vec_norms[i] : 0.0f;
-              const float sim = query::similarity(metric, vec, row, dim(),
-                                                  vec_inv, row_inv);
-              if (request.aggregate == Aggregate::kMean) {
-                score += sim;
-              } else if (i == 0 || sim > score) {
-                score = sim;
-              }
-            }
-            if (request.aggregate == Aggregate::kMean) {
-              score /= static_cast<float>(query.vector_count);
-            }
-            candidate.score = score;
-          }
-          std::sort(candidates.begin(), candidates.end(), query::better);
-          if (candidates.size() > fetch_k) candidates.resize(fetch_k);
-          response.results[q] = std::move(candidates);
-        },
-        parallel);
   }
+  auto scored = score(vectors, counts, fetch_k, ef, metric,
+                      request.aggregate, request.filter);
+  if (!scored.ok()) return scored.status();
 
+  QueryResponse response;
+  response.results = std::move(scored).value();
   for (std::size_t q = 0; q < request.queries.size(); ++q) {
     finalize_answer(response.results[q], request.queries[q], k);
   }
@@ -309,6 +253,103 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
   return response;
 }
 
+api::Result<std::vector<std::vector<Neighbor>>> EngineService::score(
+    std::span<const float> vectors, std::span<const std::size_t> counts,
+    unsigned k, unsigned ef, Metric metric, Aggregate aggregate,
+    const RowFilter& filter) const {
+  if (strategy_ == Strategy::kExact) {
+    // The scan vets the buffer against the counts and the norms itself,
+    // so a bad shape is a Status, not an out-of-bounds read.
+    return query::scan_top_k_multi(store_, vectors, counts, k, metric,
+                                   norms_for(metric), aggregate, filter,
+                                   scan_);
+  }
+  if (index_.max_level() < 0) {
+    return api::Status::invalid_argument(
+        "hnsw strategy requested but no index is attached "
+        "(build_index/load_index first)");
+  }
+  if (metric != metric_) {
+    return api::Status::invalid_argument(
+        std::string("hnsw index was built for metric '") +
+        std::string(query::metric_name(metric_)) + "', request asks for '" +
+        std::string(query::metric_name(metric)) + "'");
+  }
+  // Query q's vectors start at offsets[q] floats.
+  std::vector<std::size_t> offsets(counts.size() + 1, 0);
+  for (std::size_t q = 0; q < counts.size(); ++q) {
+    offsets[q + 1] = offsets[q] + counts[q] * dim();
+  }
+  if (offsets.back() != vectors.size()) {
+    return api::Status::invalid_argument(
+        "query buffer holds " + std::to_string(vectors.size()) +
+        " floats, the vector counts need " + std::to_string(offsets.back()));
+  }
+
+  // One beam search per vector, fanned across the pool. A filter narrows
+  // what the beam may keep, so widen it; multi-vector queries union their
+  // per-vector candidates and re-score under the aggregate.
+  const unsigned ef_effective = filter ? std::max(ef, 2 * k) : ef;
+  std::vector<std::vector<Neighbor>> results(counts.size());
+  parallel_for(
+      counts.size(),
+      [&](std::size_t q) {
+        const std::size_t count = counts[q];
+        const float* first = vectors.data() + offsets[q];
+        if (count == 1) {
+          results[q] = index_.search(store_, {first, dim()}, k, ef_effective,
+                                     filter);
+          return;
+        }
+        // Multi-vector: candidates from each vector's beam...
+        std::vector<Neighbor> candidates;
+        for (std::size_t i = 0; i < count; ++i) {
+          auto found = index_.search(store_, {first + i * dim(), dim()}, k,
+                                     ef_effective, filter);
+          candidates.insert(candidates.end(), found.begin(), found.end());
+        }
+        std::sort(candidates.begin(), candidates.end(),
+                  [](const Neighbor& a, const Neighbor& b) {
+                    return a.id < b.id;
+                  });
+        candidates.erase(std::unique(candidates.begin(), candidates.end(),
+                                     [](const Neighbor& a, const Neighbor& b) {
+                                       return a.id == b.id;
+                                     }),
+                         candidates.end());
+        // ...then re-scored exactly under the aggregate rule.
+        const bool cosine = metric == Metric::kCosine;
+        std::vector<float> vec_norms(cosine ? count : 0);
+        for (std::size_t i = 0; i < vec_norms.size(); ++i) {
+          vec_norms[i] = query::inverse_norm(first + i * dim(), dim());
+        }
+        for (Neighbor& candidate : candidates) {
+          const float* row = store_.row(candidate.id).data();
+          const float row_inv = cosine ? cosine_norms_[candidate.id] : 0.0f;
+          float score = 0.0f;
+          for (std::size_t i = 0; i < count; ++i) {
+            const float vec_inv = cosine ? vec_norms[i] : 0.0f;
+            const float sim = query::similarity(metric, first + i * dim(), row,
+                                                dim(), vec_inv, row_inv);
+            if (aggregate == Aggregate::kMean) {
+              score += sim;
+            } else if (i == 0 || sim > score) {
+              score = sim;
+            }
+          }
+          if (aggregate == Aggregate::kMean) {
+            score /= static_cast<float>(count);
+          }
+          candidate.score = score;
+        }
+        std::sort(candidates.begin(), candidates.end(), query::better);
+        if (candidates.size() > k) candidates.resize(k);
+        results[q] = std::move(candidates);
+      },
+      {.threads = scan_.threads, .grain = 1});
+  return results;
+}
+
 // ---- BatchedService -------------------------------------------------------
 
 api::Result<std::unique_ptr<BatchedService>> BatchedService::open(
@@ -318,8 +359,7 @@ api::Result<std::unique_ptr<BatchedService>> BatchedService::open(
   const bool indexed =
       std::filesystem::exists(options.resolved_index_path());
   auto inner = EngineService::open(
-      options, indexed ? query::Strategy::kHnsw : query::Strategy::kExact,
-      metrics);
+      options, indexed ? Strategy::kHnsw : Strategy::kExact, metrics);
   if (!inner.ok()) return inner.status();
   return std::make_unique<BatchedService>(std::move(inner).value(), options,
                                           metrics);
@@ -332,16 +372,21 @@ BatchedService::BatchedService(std::unique_ptr<EngineService> inner,
   if (metrics != nullptr) {
     observer_ = std::make_unique<MetricsQueryObserver>(*metrics);
   }
-  query::BatchQueueOptions queue_options;
-  queue_options.max_batch = static_cast<std::size_t>(defaults.max_batch);
+  query::BatchQueueOptions queue_options = defaults.batch_options();
   // k+1 headroom so vertex queries can drop the probe row, matching the
   // direct path.
   queue_options.k = default_k_ + 1;
-  queue_options.strategy = inner_->engine().has_index()
-                               ? query::Strategy::kHnsw
-                               : query::Strategy::kExact;
-  queue_ = std::make_unique<query::BatchQueue>(inner_->engine(), queue_options,
-                                               observer_.get());
+  // The engine's unmetered path: queued traffic is counted once, by the
+  // observer, not again as engine requests.
+  auto score = [engine = inner_.get(), ef = defaults.ef_search](
+                   std::span<const float> queries, std::size_t count,
+                   unsigned k) {
+    const std::vector<std::size_t> ones(count, 1);
+    return engine->score(queries, ones, k, ef, engine->default_metric(),
+                         Aggregate::kMax, RowFilter{});
+  };
+  queue_ = std::make_unique<query::BatchQueue>(
+      inner_->dim(), std::move(score), queue_options, observer_.get());
 }
 
 BatchedService::~BatchedService() = default;
@@ -372,7 +417,7 @@ api::Result<QueryResponse> BatchedService::serve(const QueryRequest& request) {
   for (const Query& query : request.queries) {
     std::vector<float> vector;
     if (query.is_vertex) {
-      const auto row = inner_->engine().store().row(query.vertex_id);
+      const auto row = inner_->store().row(query.vertex_id);
       vector.assign(row.begin(), row.end());
     } else {
       vector = query.vectors;
@@ -405,21 +450,21 @@ api::Result<IndexBuildReport> build_index(const ServeOptions& options) {
   auto opened =
       store::EmbeddingStore::open(options.store_path, options.open_options());
   if (!opened.ok()) return opened.status();
-  auto engine = query::QueryEngine::create(std::move(opened).value(),
-                                           options.engine_options());
+  // An hnsw-strategy engine holds only the norms its own metric needs,
+  // and the build reuses them instead of re-scanning the store.
+  auto engine = EngineService::create(std::move(opened).value(),
+                                      Strategy::kHnsw, options, nullptr);
   if (!engine.ok()) return engine.status();
 
   WallTimer timer;
-  // Built through the engine so the build reuses its cosine norm cache
-  // instead of re-scanning the store.
-  if (api::Status status = engine.value().build_index(options.hnsw_options());
+  if (api::Status status = engine.value()->build_index(options.hnsw_options());
       !status.is_ok()) {
     return status;
   }
   IndexBuildReport report;
   report.seconds = timer.seconds();
   report.path = options.resolved_index_path();
-  const query::HnswIndex& index = engine.value().index();
+  const query::HnswIndex& index = engine.value()->index();
   report.M = index.M();
   report.ef_construction = index.ef_construction();
   report.max_level = index.max_level();

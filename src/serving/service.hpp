@@ -1,16 +1,15 @@
 // QueryService — the serving facade's one interface, the query-side twin
 // of api::Embedder.
 //
-// PR 3 left serving as a pile of concrete classes (QueryEngine,
-// BatchQueue, HnswIndex) that every tool wired by hand; this layer folds
-// them behind one request/response model the way the training side folded
-// its engines behind Embedder. A QueryRequest carries a batch of logical
-// queries — each a stored vertex (self-excluded from its own answer) or
-// one-or-more raw vectors scored jointly — plus per-request overrides
-// (k, ef, metric) and an optional vertex-filter predicate; every strategy
-// ("exact", "hnsw", "batched", the sharded "router"/"dist-router") answers
-// the same model, so callers pick a strategy by registry key, not by API
-// shape.
+// Every strategy answers one request model. A QueryRequest carries a batch
+// of logical queries — each a stored vertex (self-excluded from its own
+// answer) or one-or-more raw vectors scored jointly — plus per-request
+// overrides (k, ef, metric) and an optional vertex-filter predicate; every
+// strategy ("exact", "hnsw", "batched", the sharded "router"/"dist-router")
+// answers the same model, so callers pick a strategy by registry key, not
+// by API shape. EngineService is the one engine layer underneath: it owns
+// the store, its norms and the optional HNSW index, and the batched and
+// sharded strategies compose it.
 #pragma once
 
 #include <memory>
@@ -23,7 +22,8 @@
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
 #include "gosh/query/batch_queue.hpp"
-#include "gosh/query/engine.hpp"
+#include "gosh/query/brute_force.hpp"
+#include "gosh/query/hnsw.hpp"
 #include "gosh/serving/metrics.hpp"
 #include "gosh/serving/options.hpp"
 
@@ -33,6 +33,10 @@ using query::Aggregate;
 using query::Metric;
 using query::Neighbor;
 using query::RowFilter;
+
+/// The engine strategies "exact" and "hnsw"; defined next to the registry
+/// (registry.hpp), whose keys they are.
+enum class Strategy;
 
 /// One logical query. Exactly one of the two shapes:
 ///   * vertex — the stored row becomes the query vector and the vertex is
@@ -169,52 +173,86 @@ class QueryService {
   api::Result<std::vector<Neighbor>> top_k_vertex(vid_t v, unsigned k = 0);
 };
 
-/// QueryService over one QueryEngine, answering with a fixed strategy
-/// (the "exact" and "hnsw" registry entries). Thread-safe for concurrent
-/// serve() calls: every query path only reads shared state.
+/// QueryService over one EmbeddingStore, answering with a fixed strategy
+/// (the "exact" and "hnsw" registry entries). It owns the store, the cosine
+/// inverse norms and the optional HNSW index. Thread-safe for concurrent
+/// serve() and score() calls: every query path only reads shared state.
+/// attach_index/build_index/load_index are not; call them before serving.
 class EngineService final : public QueryService {
  public:
-  /// Opens the store named by `options` and builds the engine; the "hnsw"
-  /// strategy additionally loads options.resolved_index_path(). `metrics`
-  /// (optional) receives request counters and latency histograms.
+  /// Opens the store named by `options` (one shard of it under --shard
+  /// I/N) and builds the engine; the "hnsw" strategy additionally loads
+  /// options.resolved_index_path(). `metrics` (optional) receives request
+  /// counters and latency histograms.
   static api::Result<std::unique_ptr<EngineService>> open(
-      const ServeOptions& options, query::Strategy strategy,
+      const ServeOptions& options, Strategy strategy,
       MetricsRegistry* metrics = nullptr);
 
-  EngineService(query::QueryEngine engine, query::Strategy strategy,
-                const ServeOptions& defaults, MetricsRegistry* metrics);
+  /// Builds the engine over an opened store. `options` must pass
+  /// validate() (kInvalidArgument otherwise); the "hnsw" strategy answers
+  /// only once an index is attached.
+  static api::Result<std::unique_ptr<EngineService>> create(
+      store::EmbeddingStore store, Strategy strategy,
+      const ServeOptions& options, MetricsRegistry* metrics = nullptr);
 
   api::Result<QueryResponse> serve(const QueryRequest& request) override;
-  vid_t rows() const noexcept override { return engine_.rows(); }
-  unsigned dim() const noexcept override { return engine_.dim(); }
-  Metric default_metric() const noexcept override { return engine_.metric(); }
-  std::string_view strategy_name() const noexcept override {
-    return query::strategy_name(strategy_);
-  }
+  vid_t rows() const noexcept override { return store_.rows(); }
+  unsigned dim() const noexcept override { return store_.dim(); }
+  Metric default_metric() const noexcept override { return metric_; }
+  std::string_view strategy_name() const noexcept override;
   api::Result<std::vector<float>> row_vector(vid_t v) const override;
 
-  const query::QueryEngine& engine() const noexcept { return engine_; }
+  /// The unmetered scoring path under serve(). Query q owns `counts[q]`
+  /// back-to-back dim() vectors of `vectors`; its answer is the top `k`
+  /// rows under `metric`, combined by `aggregate` and restricted to
+  /// `filter` when it is set. No request checks and no metrics: serve()
+  /// adds both, and the batched strategy's queue scores through here.
+  api::Result<std::vector<std::vector<Neighbor>>> score(
+      std::span<const float> vectors, std::span<const std::size_t> counts,
+      unsigned k, unsigned ef, Metric metric, Aggregate aggregate,
+      const RowFilter& filter) const;
+
+  const store::EmbeddingStore& store() const noexcept { return store_; }
+  const query::HnswIndex& index() const noexcept { return index_; }
+
+  /// Attaches an already-built/loaded index; rejects one whose rows, dim
+  /// or metric disagree with the store and the engine.
+  api::Status attach_index(query::HnswIndex index);
+  /// Builds an index over the store with the engine's metric (overriding
+  /// options.metric) and its norms, then attaches it.
+  api::Status build_index(query::HnswOptions options);
+  /// Loads the index at `path` and attaches it.
+  api::Status load_index(const std::string& path);
 
  private:
+  EngineService(store::EmbeddingStore store, Strategy strategy,
+                const ServeOptions& options, MetricsRegistry* metrics);
+
   std::span<const float> norms_for(Metric metric) const noexcept;
 
-  query::QueryEngine engine_;
-  query::Strategy strategy_;
+  store::EmbeddingStore store_;
+  Strategy strategy_;
+  Metric metric_;
+  query::ScanOptions scan_;  ///< threads and block_rows of every scan
   unsigned default_k_;
   unsigned default_ef_;
-  /// Cosine norms for exact-path metric overrides when the engine's own
-  /// metric is not cosine (computed once at construction, one store pass).
-  std::vector<float> override_cosine_norms_;
+  /// Per-row cosine inverse norms: the engine metric's own when it is
+  /// cosine, and the exact strategy's cosine overrides otherwise (one
+  /// store pass at construction). Empty when neither needs them.
+  std::vector<float> cosine_norms_;
+  query::HnswIndex index_;
   Counter* requests_ = nullptr;
   Counter* queries_ = nullptr;
   Histogram* seconds_ = nullptr;
 };
 
 /// The "batched" registry entry: an EngineService plus a BatchQueue that
-/// coalesces the plain single-vector traffic into shared scans. Requests
-/// the queue cannot express (filters, metric overrides, multi-vector
-/// queries, non-default k) transparently fall through to the direct
-/// engine path, so the service honors the full request model either way.
+/// coalesces the plain single-vector traffic into shared calls of the
+/// engine's score(). Requests the queue cannot express (filters, metric
+/// overrides, multi-vector queries, non-default k) transparently fall
+/// through to the engine's serve(), so the service honors the full request
+/// model either way. Queued traffic is counted by the queue's observer
+/// (gosh_serving_batch_*), not as engine requests.
 class BatchedService final : public QueryService {
  public:
   static api::Result<std::unique_ptr<BatchedService>> open(

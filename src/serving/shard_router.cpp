@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "gosh/common/timer.hpp"
+#include "gosh/serving/registry.hpp"
 #include "gosh/trace/trace.hpp"
 
 namespace gosh::serving {
@@ -73,19 +74,34 @@ api::Result<std::unique_ptr<ShardRouter>> ShardRouter::open_shards(
     Shard shard;
     shard.row_begin = static_cast<vid_t>(slice.value().row_begin());
     shard.rows = slice.value().rows();
+    // owner() and row_vector() rely on the equal-split layout
+    // EmbeddingStore::open enforces: every shard but the last holds shard
+    // 0's row count, and the last one ends at the store's last row.
+    const vid_t per_shard =
+        router->shards_.empty() ? shard.rows : router->shards_.front().rows;
+    const std::uint64_t end = std::uint64_t{shard.row_begin} + shard.rows;
+    if (shard.row_begin != std::uint64_t{s} * per_shard ||
+        (s + 1 < shard_count ? shard.rows != per_shard
+                             : end != router->rows_)) {
+      return api::Status::io_error(
+          slice.value().path() + ": shard holds rows [" +
+          std::to_string(shard.row_begin) + ", " + std::to_string(end) +
+          "), which breaks the equal split of " +
+          std::to_string(router->rows_) + " rows into shards of " +
+          std::to_string(per_shard));
+    }
     if (groups != nullptr) {
       shard.slice = std::move(slice).value();
       shard.replicas = std::make_unique<ReplicaSet>(
           std::move((*groups)[s]), ReplicaOptions::from(options), metrics);
     } else {
-      auto engine = query::QueryEngine::create(std::move(slice).value(),
-                                               options.engine_options());
-      if (!engine.ok()) return engine.status();
       // Shards skip the metrics registry: the router counts the request
       // once, not once per shard.
-      shard.engine = std::make_unique<EngineService>(
-          std::move(engine).value(), query::Strategy::kExact, options,
-          /*metrics=*/nullptr);
+      auto engine = EngineService::create(std::move(slice).value(),
+                                          Strategy::kExact, options,
+                                          /*metrics=*/nullptr);
+      if (!engine.ok()) return engine.status();
+      shard.engine = std::move(engine).value();
     }
     router->shards_.push_back(std::move(shard));
   }
@@ -108,7 +124,7 @@ api::Result<std::vector<float>> ShardRouter::row_vector(vid_t v) const {
   }
   const Shard& shard = owner(v);
   const store::EmbeddingStore& slice =
-      shard.engine != nullptr ? shard.engine->engine().store() : shard.slice;
+      shard.engine != nullptr ? shard.engine->store() : shard.slice;
   const auto row = slice.row(v - shard.row_begin);
   return std::vector<float>(row.begin(), row.end());
 }

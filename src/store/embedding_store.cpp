@@ -349,6 +349,12 @@ api::Result<EmbeddingStore> EmbeddingStore::open(const std::string& path,
       if (header.row_begin != s * store.rows_per_shard_)
         return io_fail(file, "shard row_begin breaks the equal-split layout");
     }
+    // row() finds a row's shard as v / rows_per_shard_, so every shard but
+    // the last must hold exactly shard 0's row count.
+    if (s + 1 < shard_count && header.shard_rows != store.rows_per_shard_)
+      return io_fail(file, "shard holds " + std::to_string(header.shard_rows) +
+                               " rows, the equal-split layout needs " +
+                               std::to_string(store.rows_per_shard_));
 
     const std::size_t payload_bytes =
         static_cast<std::size_t>(header.shard_rows) * store.dim_ *

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "gosh/api/api.hpp"
+#include "gosh/baselines/line_device.hpp"
+#include "gosh/simt/device.hpp"
 
 namespace gosh {
 namespace {
@@ -66,6 +68,32 @@ TEST(LineDevice, LearnsCommunities) {
     }
   }
   EXPECT_GT(intra / intra_n - inter / inter_n, 0.05f);
+}
+
+TEST(LineDevice, SelfSamplesLeaveLoneVertexUntouched) {
+  // One vertex with a self-loop: every positive and every negative is the
+  // source itself. Self-samples must be skipped: the kernel would update
+  // the global row underneath its staged copy only for the writeback to
+  // clobber it, so the row must come back bit-identical to its seed.
+  graph::BuildOptions build;
+  build.remove_self_loops = false;
+  const graph::Graph g =
+      graph::build_csr(1, std::vector<graph::Edge>{{0, 0}}, build);
+  ASSERT_EQ(g.num_arcs(), 1u);
+  simt::DeviceConfig device_config;
+  device_config.memory_bytes = 16u << 20;
+  device_config.workers = 2;
+  simt::Device device(device_config);
+  baselines::LineConfig config;
+  config.dim = 8;
+  config.epochs = 20;
+  const embedding::EmbeddingMatrix trained =
+      baselines::line_device_embed(g, device, config);
+  embedding::EmbeddingMatrix seeded(1, config.dim);
+  seeded.initialize_random(config.seed);
+  for (std::size_t i = 0; i < seeded.size(); ++i) {
+    EXPECT_EQ(trained.data()[i], seeded.data()[i]) << "element " << i;
+  }
 }
 
 TEST(LineDevice, OutOfMemoryLikeGraphvite) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,22 +54,36 @@ class HnswRecallTest : public ::testing::Test {
 
 TempPath* HnswRecallTest::store_path_ = nullptr;
 
-double recall_at_k(const QueryEngine& engine, unsigned k,
+/// An engine over a fresh mapping of the shared store.
+std::unique_ptr<serving::EngineService> open_engine(
+    const std::string& path, serving::Strategy strategy,
+    unsigned ef_search = 64) {
+  serving::ServeOptions options;
+  options.store_path = path;
+  options.ef_search = ef_search;
+  auto engine =
+      serving::EngineService::create(open_fresh(path), strategy, options);
+  EXPECT_TRUE(engine.ok()) << engine.status().to_string();
+  return engine.ok() ? std::move(engine).value() : nullptr;
+}
+
+double recall_at_k(serving::EngineService& exact,
+                   serving::EngineService& approx_engine, unsigned k,
                    std::size_t samples) {
   Rng rng(5);
   double hits = 0.0;
   for (std::size_t i = 0; i < samples; ++i) {
-    const vid_t probe = rng.next_vertex(engine.rows());
-    auto exact = engine.top_k_vertex(probe, k, Strategy::kExact);
-    auto approx = engine.top_k_vertex(probe, k, Strategy::kHnsw);
+    const vid_t probe = rng.next_vertex(exact.rows());
+    auto truth = exact.top_k_vertex(probe, k);
+    auto approx = approx_engine.top_k_vertex(probe, k);
     // Bail instead of touching value(): in a release build value() on an
     // error Result is UB (this exact spot once looped forever on garbage
     // vector bounds when a corrupted fixture store failed the query).
-    EXPECT_TRUE(exact.ok() && approx.ok());
-    if (!exact.ok() || !approx.ok()) return 0.0;
-    for (const Neighbor& truth : exact.value()) {
+    EXPECT_TRUE(truth.ok() && approx.ok());
+    if (!truth.ok() || !approx.ok()) return 0.0;
+    for (const Neighbor& expected : truth.value()) {
       for (const Neighbor& got : approx.value()) {
-        if (truth.id == got.id) {
+        if (expected.id == got.id) {
           hits += 1.0;
           break;
         }
@@ -79,30 +94,28 @@ double recall_at_k(const QueryEngine& engine, unsigned k,
 }
 
 TEST_F(HnswRecallTest, RecallAt10AboveNinetyPercentOnTrainedEmbedding) {
-  QueryEngine engine(open_fresh(*store_path_), {.ef_search = 64});
+  auto exact = open_engine(*store_path_, serving::Strategy::kExact);
+  auto hnsw = open_engine(*store_path_, serving::Strategy::kHnsw, 64);
+  ASSERT_TRUE(exact != nullptr && hnsw != nullptr);
   ASSERT_TRUE(
-      engine.build_index({.M = 16, .ef_construction = 200, .seed = 7})
-          .is_ok());
-  const double recall = recall_at_k(engine, 10, 100);
+      hnsw->build_index({.M = 16, .ef_construction = 200, .seed = 7}).is_ok());
+  const double recall = recall_at_k(*exact, *hnsw, 10, 100);
   EXPECT_GE(recall, 0.9) << "HNSW recall@10 degraded against exact scan";
 }
 
 TEST_F(HnswRecallTest, WiderBeamNeverHurtsRecall) {
-  QueryEngineOptions narrow;
-  narrow.ef_search = 10;
-  QueryEngine narrow_engine(open_fresh(*store_path_), narrow);
-  ASSERT_TRUE(narrow_engine
-                  .build_index({.M = 8, .ef_construction = 64, .seed = 7})
-                  .is_ok());
-  const double narrow_recall = recall_at_k(narrow_engine, 10, 50);
+  auto exact = open_engine(*store_path_, serving::Strategy::kExact);
+  auto narrow = open_engine(*store_path_, serving::Strategy::kHnsw, 10);
+  ASSERT_TRUE(exact != nullptr && narrow != nullptr);
+  ASSERT_TRUE(
+      narrow->build_index({.M = 8, .ef_construction = 64, .seed = 7}).is_ok());
+  const double narrow_recall = recall_at_k(*exact, *narrow, 10, 50);
 
-  QueryEngineOptions wide = narrow;
-  wide.ef_search = 256;
-  QueryEngine wide_engine(open_fresh(*store_path_), wide);
-  ASSERT_TRUE(wide_engine
-                  .build_index({.M = 8, .ef_construction = 64, .seed = 7})
-                  .is_ok());
-  const double wide_recall = recall_at_k(wide_engine, 10, 50);
+  auto wide = open_engine(*store_path_, serving::Strategy::kHnsw, 256);
+  ASSERT_NE(wide, nullptr);
+  ASSERT_TRUE(
+      wide->build_index({.M = 8, .ef_construction = 64, .seed = 7}).is_ok());
+  const double wide_recall = recall_at_k(*exact, *wide, 10, 50);
   EXPECT_GE(wide_recall + 1e-9, narrow_recall);
   EXPECT_GE(wide_recall, 0.9);
 }

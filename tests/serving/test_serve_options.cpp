@@ -81,11 +81,11 @@ TEST(ServeOptions, EngineAndHnswOptionsAreSubsumed) {
   options.hnsw_m = 24;
   options.ef_construction = 333;
   options.seed = 5;
-  const query::QueryEngineOptions engine = options.engine_options();
-  EXPECT_EQ(engine.metric, query::Metric::kDot);
-  EXPECT_EQ(engine.threads, 2u);
-  EXPECT_EQ(engine.block_rows, 128u);
-  EXPECT_EQ(engine.ef_search, 99u);
+  // The engine shape is plain ServeOptions fields, checked by validate().
+  EXPECT_TRUE(options.validate().is_ok());
+  options.block_rows = 0;
+  EXPECT_EQ(options.validate().code(), api::StatusCode::kInvalidArgument);
+  options.block_rows = 128;
   const query::HnswOptions hnsw = options.hnsw_options();
   EXPECT_EQ(hnsw.M, 24u);
   EXPECT_EQ(hnsw.ef_construction, 333u);

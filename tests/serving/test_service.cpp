@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/temp_path.hpp"
 #include "gosh/query/brute_force.hpp"
 #include "gosh/serving/registry.hpp"
+#include "gosh/serving/service.hpp"
 
 namespace gosh::serving {
 namespace {
@@ -256,6 +258,86 @@ TEST(QueryService, BatchedServiceAgreesWithExactAndHandlesFallthrough) {
   for (const query::Neighbor& n : fallthrough.value().results.front()) {
     EXPECT_LT(n.id, 30u);
   }
+}
+
+TEST(QueryService, BatchedIsBitIdenticalToTheEngineItWraps) {
+  // One stream of vertex and raw-vector queries, served by "batched" (over
+  // the queue) and by a direct EngineService of the same inner strategy:
+  // both score through EngineService::score, so ids AND scores agree bit
+  // for bit — over an exact inner service and over an HNSW one.
+  Fixture fx;
+  for (const bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "hnsw inner" : "exact inner");
+    if (indexed) fx.build_hnsw_index(64);
+    ServeOptions options = fx.options();
+    options.strategy = "batched";
+    options.max_batch = 8;
+    auto batched = make_service(options);
+    ASSERT_TRUE(batched.ok()) << batched.status().to_string();
+    auto direct = EngineService::open(
+        options, indexed ? Strategy::kHnsw : Strategy::kExact);
+    ASSERT_TRUE(direct.ok()) << direct.status().to_string();
+
+    QueryRequest stream;
+    for (vid_t v = 0; v < fx.rows; v += 3) {
+      stream.queries.push_back(Query::vertex(v));
+      std::vector<float> vec(fx.dim);
+      for (unsigned j = 0; j < fx.dim; ++j) {
+        vec[j] = std::sin(0.7f * static_cast<float>(v + 1) *
+                          static_cast<float>(j + 1));
+      }
+      stream.queries.push_back(Query::vector(std::move(vec)));
+    }
+    auto coalesced = batched.value()->serve(stream);
+    auto reference = direct.value()->serve(stream);
+    ASSERT_TRUE(coalesced.ok() && reference.ok());
+    ASSERT_EQ(coalesced.value().results.size(),
+              reference.value().results.size());
+    for (std::size_t q = 0; q < reference.value().results.size(); ++q) {
+      const auto& got = coalesced.value().results[q];
+      const auto& want = reference.value().results[q];
+      ASSERT_EQ(got.size(), want.size()) << "query " << q;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "query " << q << " rank " << i;
+        EXPECT_EQ(got[i].score, want[i].score)
+            << "query " << q << " rank " << i;
+      }
+    }
+  }
+}
+
+TEST(QueryService, BatchedQueueCountsQueriesNotEngineRequests) {
+  // Queued traffic is metered once, by the queue's observer; the engine's
+  // unmetered score() path leaves the request counters alone.
+  Fixture fx;
+  MetricsRegistry metrics;
+  ServeOptions options = fx.options();
+  options.strategy = "batched";
+  auto service = make_service(options, &metrics);
+  ASSERT_TRUE(service.ok()) << service.status().to_string();
+  constexpr std::uint64_t kQueued = 25;
+  for (vid_t v = 0; v < kQueued; ++v) {
+    ASSERT_TRUE(service.value()->top_k_vertex(v).ok());
+  }
+  const std::string text = metrics.expose();
+  EXPECT_NE(text.find("gosh_serving_batch_queries_total " +
+                      std::to_string(kQueued) + "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("gosh_serving_requests_total 0\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(metrics.counter("gosh_serving_batch_queries_total").value(),
+            kQueued);
+  EXPECT_EQ(metrics.counter("gosh_serving_requests_total").value(), 0u);
+
+  // A request the queue cannot express falls through to the metered
+  // engine path and is counted there.
+  QueryRequest filtered = QueryRequest::for_vertex(3);
+  filtered.filter = [](vid_t v) { return v % 2 == 0; };
+  ASSERT_TRUE(service.value()->serve(filtered).ok());
+  EXPECT_EQ(metrics.counter("gosh_serving_requests_total").value(), 1u);
+  EXPECT_EQ(metrics.counter("gosh_serving_batch_queries_total").value(),
+            kQueued);
 }
 
 TEST(QueryService, MalformedRequestsAreRejectedWholesale) {

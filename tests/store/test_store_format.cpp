@@ -5,19 +5,25 @@
 // reported as a checksum mismatch. Truncation at every chunk boundary ±1
 // must give a clean Status, never a crash (the ASan/UBSan CI leg turns an
 // over-read into a hard failure). checksum64 itself must not depend on the
-// thread count. Everything is seeded, so a failure reproduces.
+// thread count. Every header field, mutated with its header checksum
+// recomputed, must give a clean Status, and so must a shard layout that
+// breaks the equal split row() relies on. Everything is seeded, so a
+// failure reproduces.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "common/temp_path.hpp"
 #include "gosh/query/hnsw.hpp"
+#include "gosh/serving/shard_router.hpp"
 #include "gosh/store/checksum.hpp"
 #include "gosh/store/embedding_store.hpp"
 
@@ -102,6 +108,20 @@ std::string v1_shard(const embedding::EmbeddingMatrix& matrix,
   return bytes;
 }
 
+// One version-2 shard from the same layout: checksum64 over the payload.
+// `shard_rows` rows are taken from the matrix at `row_begin`.
+std::string v2_shard(const embedding::EmbeddingMatrix& matrix,
+                     std::uint64_t row_begin, std::uint64_t shard_rows,
+                     std::uint32_t index, std::uint32_t count) {
+  std::string bytes = v1_shard(matrix, row_begin, shard_rows, index, count);
+  const std::size_t payload_bytes = shard_rows * matrix.dim() * sizeof(float);
+  put<std::uint64_t>(bytes, 8, 2);
+  put<std::uint64_t>(bytes, 56,
+                     checksum64(bytes.data() + kHeaderBytes, payload_bytes));
+  put<std::uint64_t>(bytes, 64, fnv1a64(bytes.data(), 64));
+  return bytes;
+}
+
 TEST(StoreFormat, HandBuiltV1StoreOpensAndVerifies) {
   const TempPath path("v1.gshs");
   const auto matrix = sample_matrix(30, 6);
@@ -126,6 +146,150 @@ TEST(StoreFormat, HandBuiltV1StoreOpensAndVerifies) {
   auto corrupt = EmbeddingStore::open(path);
   EXPECT_EQ(corrupt.status().code(), api::StatusCode::kIoError);
   EXPECT_NE(corrupt.status().message().find("checksum"), std::string::npos);
+}
+
+TEST(StoreFormat, UnevenShardLayoutIsRejected) {
+  // 10 rows in 3 shards of 4, 6 and 0 rows: every row_begin fits the
+  // equal split of 4 and the shards cover all 10 rows, but row 8 lies in
+  // shard 1's file while row() would look for it in the empty shard 2.
+  const TempPath path("uneven.gshs");
+  const auto matrix = sample_matrix(10, 4);
+  write_file(path, v2_shard(matrix, 0, 4, 0, 3));
+  write_file(EmbeddingStore::shard_path(path, 1, 3),
+             v2_shard(matrix, 4, 6, 1, 3));
+  write_file(EmbeddingStore::shard_path(path, 2, 3),
+             v2_shard(matrix, 8, 0, 2, 3));
+
+  auto opened = EmbeddingStore::open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
+  EXPECT_NE(opened.status().message().find("equal-split"), std::string::npos)
+      << opened.status().to_string();
+
+  // Each shard still opens on its own, so the router checks the layout
+  // its owner() lookup assumes.
+  ASSERT_TRUE(EmbeddingStore::open_shard(path, 1, 3).ok());
+  serving::ServeOptions options;
+  options.store_path = path;
+  auto router = serving::ShardRouter::open(options);
+  ASSERT_FALSE(router.ok());
+  EXPECT_EQ(router.status().code(), api::StatusCode::kIoError);
+  EXPECT_NE(router.status().message().find("equal split"), std::string::npos)
+      << router.status().to_string();
+
+  // The same rows in shards of 4, 4 and 2 are the layout write() makes.
+  write_file(EmbeddingStore::shard_path(path, 1, 3),
+             v2_shard(matrix, 4, 4, 1, 3));
+  write_file(EmbeddingStore::shard_path(path, 2, 3),
+             v2_shard(matrix, 8, 2, 2, 3));
+  auto even = EmbeddingStore::open(path);
+  ASSERT_TRUE(even.ok()) << even.status().to_string();
+  expect_rows_match(matrix, even.value());
+  EXPECT_TRUE(serving::ShardRouter::open(options).ok());
+}
+
+// Reads every row of an opened store: under ASan an out-of-bounds view
+// fails here rather than passing silently.
+float touch_every_row(const EmbeddingStore& store) {
+  float sum = 0.0f;
+  for (vid_t v = 0; v < store.rows(); ++v) {
+    for (const float x : store.row(v)) sum += x;
+  }
+  return sum;
+}
+
+TEST(StoreFormat, HeaderFieldMutationsAreCleanStatuses) {
+  // 30 rows of dim 6 in shards of 16 + 14.
+  const TempPath path("header_mutation.gshs");
+  const auto matrix = sample_matrix(30, 6);
+  ASSERT_TRUE(
+      EmbeddingStore::write(matrix, path, {.rows_per_shard = 16}).is_ok());
+  ASSERT_TRUE(EmbeddingStore::open(path).ok());
+
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  struct Field {
+    const char* name;
+    std::size_t offset;
+    bool wide;  ///< u64, else u32
+  };
+  const Field fields[] = {
+      {"header_bytes", 4, false}, {"version", 8, true},
+      {"total_rows", 16, true},   {"dim", 24, true},
+      {"row_begin", 32, true},    {"shard_rows", 40, true},
+      {"shard_index", 48, false}, {"shard_count", 52, false},
+  };
+  std::mt19937_64 rng(20261019);
+  int mutations = 0;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    const std::string file = EmbeddingStore::shard_path(path, s, 2);
+    const std::string good = read_file(file);
+    const auto check = [&](const std::string& bad, const std::string& what) {
+      SCOPED_TRACE("shard " + std::to_string(s) + " " + what);
+      write_file(file, bad);
+      ++mutations;
+      auto opened = EmbeddingStore::open(path);
+      ASSERT_FALSE(opened.ok());
+      EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
+      // Without payload verification a mutation may still describe a
+      // consistent store (version 1 keeps the same layout); whatever
+      // opens must serve every row it promises.
+      auto unverified = EmbeddingStore::open(path, {.verify_checksums = false});
+      if (unverified.ok()) {
+        EXPECT_EQ(unverified.value().rows(), 30u);
+        EXPECT_FALSE(std::isnan(touch_every_row(unverified.value())));
+      }
+      auto shard = EmbeddingStore::open_shard(path, s, 2);
+      if (shard.ok()) {
+        EXPECT_FALSE(std::isnan(touch_every_row(shard.value())));
+      }
+      auto info = EmbeddingStore::probe(path);
+      if (info.ok()) {
+        EXPECT_GT(info.value().dim, 0u);
+      }
+    };
+    // The magic: a sibling format, a case change, and zeros.
+    for (const char* magic : {"GSHH", "gshs", "GSH\0", "\0\0\0\0"}) {
+      std::string bad = good;
+      std::memcpy(bad.data(), magic, 4);
+      put<std::uint64_t>(bad, 64, fnv1a64(bad.data(), 64));
+      check(bad, std::string("magic ") + magic);
+    }
+    for (const Field& field : fields) {
+      std::uint64_t original = 0;
+      std::memcpy(&original, good.data() + field.offset, field.wide ? 8 : 4);
+      std::vector<std::uint64_t> values = {0,
+                                           1,
+                                           2,
+                                           original - 1,
+                                           original + 1,
+                                           original * 2,
+                                           std::uint64_t{kMax32},
+                                           std::uint64_t{kMax32} + 1,
+                                           kMax64,
+                                           kMax64 / 6};
+      for (int i = 0; i < 6; ++i) values.push_back(rng());
+      for (std::uint64_t value : values) {
+        if (!field.wide) value &= kMax32;
+        if (value == original) continue;
+        std::string bad = good;
+        if (field.wide) {
+          put<std::uint64_t>(bad, field.offset, value);
+        } else {
+          put<std::uint32_t>(bad, field.offset,
+                             static_cast<std::uint32_t>(value));
+        }
+        put<std::uint64_t>(bad, 64, fnv1a64(bad.data(), 64));
+        check(bad, std::string(field.name) + " = " + std::to_string(value));
+      }
+    }
+    write_file(file, good);
+  }
+  EXPECT_GT(mutations, 100);
+  // Every mutation was undone: the store opens and verifies again.
+  auto restored = EmbeddingStore::open(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().to_string();
+  expect_rows_match(matrix, restored.value());
 }
 
 TEST(StoreFormat, WriteProducesVersionTwoWithChecksum64) {

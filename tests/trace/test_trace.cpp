@@ -15,6 +15,8 @@
 #include "common/temp_path.hpp"
 #include "gosh/net/json.hpp"
 #include "gosh/query/batch_queue.hpp"
+#include "gosh/serving/registry.hpp"
+#include "gosh/serving/service.hpp"
 #include "gosh/trace/trace.hpp"
 
 namespace gosh::trace {
@@ -85,9 +87,12 @@ TEST(Trace, BatchQueueHandoffRecordsQueueWaitAndScanIntoTheTrace) {
   matrix.initialize_random(23);
   const testing_util::TempPath path("trace_queue.gshs");
   ASSERT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
-  auto opened = store::EmbeddingStore::open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
-  query::QueryEngine engine(std::move(opened).value(), {});
+  serving::ServeOptions options;
+  options.store_path = path;
+  auto engine =
+      serving::EngineService::open(options, serving::Strategy::kExact);
+  ASSERT_TRUE(engine.ok()) << engine.status().to_string();
+  const serving::EngineService& service = *engine.value();
 
   Tracer tracer(sample_all());
   std::shared_ptr<Trace> trace = tracer.begin("req-queue");
@@ -95,8 +100,15 @@ TEST(Trace, BatchQueueHandoffRecordsQueueWaitAndScanIntoTheTrace) {
   {
     ScopedTrace scope(trace);
     Span handler("handler");
-    query::BatchQueue queue(engine);
-    auto future = queue.submit(std::vector<float>(engine.dim(), 0.5f));
+    query::BatchQueue queue(
+        service.dim(), [&service](std::span<const float> queries,
+                                  std::size_t count, unsigned k) {
+          const std::vector<std::size_t> ones(count, 1);
+          return service.score(queries, ones, k, /*ef=*/64,
+                               service.default_metric(),
+                               query::Aggregate::kMax, query::RowFilter{});
+        });
+    auto future = queue.submit(std::vector<float>(service.dim(), 0.5f));
     EXPECT_EQ(future.get().size(), 10u);
   }
   tracer.finish(trace);

@@ -16,17 +16,14 @@
 //
 //   bench_query_throughput [--rows N] [--dim D] [--queries Q] [--k K]
 //                          [--threads t1,t2,...] [--batch B] [--seed S]
-//                          [--zipf-s S] [--trace on|off|sampled]
-//                          [--json FILE]
+//                          [--zipf-s S] [--json FILE]
 //
 // Defaults: 20000 rows, dim 64, 512 queries, k 10, threads 1,4, batch 64,
 // zipf-s 1.0.
 //
-// --trace prices the gosh::trace layer on the in-process path: "off"
-// leaves the global gate down (every TRACE_SPAN in the scan reduces to one
-// relaxed atomic load), "on" wraps every request in a sampled trace,
-// "sampled" keeps 1%. The mode lands in each record's "trace" param so the
-// BENCH_*.json trajectory holds the columns side by side.
+// No perfbench workload covers HNSW, the batched strategy or the semantic
+// cache, so those rows are measured here; the exact scan over HTTP and
+// the tracing layer's overhead (`trace.overhead`) come from perfbench.
 //
 // --zipf-s shapes probe popularity: ids are drawn Zipf(s) over a shuffled
 // rank->id map (s = 0 degrades to uniform), the skew real query traffic
@@ -43,7 +40,6 @@
 #include "gosh/api/api.hpp"
 #include "gosh/common/simd.hpp"
 #include "gosh/common/zipf.hpp"
-#include "gosh/trace/trace.hpp"
 #include "report.hpp"
 
 namespace {
@@ -84,12 +80,6 @@ int main(int argc, char** argv) {
       api::flag_list(argc, argv, "--threads", {"1", "4"});
   const std::string json_path = bench::json_flag(argc, argv);
   const std::string run_id = bench::run_id_flag(argc, argv);
-  const std::string trace_mode = flag_string(argc, argv, "--trace", "off");
-  if (trace_mode != "on" && trace_mode != "off" && trace_mode != "sampled") {
-    std::fprintf(stderr, "error: --trace wants on|off|sampled, got '%s'\n",
-                 trace_mode.c_str());
-    return 1;
-  }
   const std::string zipf_flag = flag_string(argc, argv, "--zipf-s", "1.0");
   const auto zipf_parsed = api::parse_real(zipf_flag);
   if (!zipf_parsed.ok() || zipf_parsed.value() < 0.0) {
@@ -167,30 +157,8 @@ int main(int argc, char** argv) {
     params.emplace_back("dim", std::to_string(dim));
     params.emplace_back("queries", std::to_string(num_queries));
     params.emplace_back("k", std::to_string(k));
-    params.emplace_back("trace", trace_mode);
     params.emplace_back("zipf_s", zipf_flag);
     return params;
-  };
-
-  // --trace wiring: "off" keeps the global gate down so every TRACE_SPAN
-  // in the scan costs one relaxed load; on/sampled configure the global
-  // tracer and wrap each request the way the HTTP front-end does.
-  trace::Tracer& tracer = trace::Tracer::global();
-  const bool tracing = trace_mode != "off";
-  {
-    trace::TraceOptions knobs;
-    knobs.sample_rate =
-        trace_mode == "on" ? 1.0 : (trace_mode == "sampled" ? 0.01 : 0.0);
-    tracer.configure(knobs);
-  }
-  const auto traced_serve = [&](serving::QueryService& service,
-                                const serving::QueryRequest& request) {
-    if (!tracing) return service.serve(request);
-    std::shared_ptr<trace::Trace> trace = tracer.begin(trace::mint_request_id());
-    trace::ScopedTrace scope(trace);
-    auto response = service.serve(request);
-    tracer.finish(trace);
-    return response;
   };
 
   serving::MetricsRegistry metrics;
@@ -214,8 +182,8 @@ int main(int argc, char** argv) {
             isa_label + "_t" + std::to_string(threads));
         timer.reset();
         for (const vid_t probe : probes) {
-          auto response = traced_serve(
-              *service.value(), serving::QueryRequest::for_vertex(probe, k));
+          auto response = service.value()->serve(
+              serving::QueryRequest::for_vertex(probe, k));
           if (!response.ok()) return fail(response.status());
           latency.observe(response.value().seconds);
         }
@@ -249,7 +217,7 @@ int main(int argc, char** argv) {
       request.queries.push_back(serving::Query::vertex(probe));
     }
     timer.reset();
-    auto response = traced_serve(*service.value(), request);
+    auto response = service.value()->serve(request);
     if (!response.ok()) return fail(response.status());
     const double seconds = timer.seconds();
     const double qps = num_queries / (seconds > 0 ? seconds : 1e-9);
@@ -308,8 +276,8 @@ int main(int argc, char** argv) {
       serving::Histogram latency;
       timer.reset();
       for (std::size_t q = 0; q < num_queries; ++q) {
-        auto response = traced_serve(
-            *service.value(), serving::QueryRequest::for_vertex(probes[q], k));
+        auto response = service.value()->serve(
+            serving::QueryRequest::for_vertex(probes[q], k));
         if (!response.ok()) return fail(response.status());
         latency.observe(response.value().seconds);
         truth[q] = std::move(response.value().results[0]);
@@ -340,8 +308,8 @@ int main(int argc, char** argv) {
       double recall_sum = 0.0;
       timer.reset();
       for (std::size_t q = 0; q < num_queries; ++q) {
-        auto response = traced_serve(
-            *service.value(), serving::QueryRequest::for_vertex(probes[q], k));
+        auto response = service.value()->serve(
+            serving::QueryRequest::for_vertex(probes[q], k));
         if (!response.ok()) return fail(response.status());
         latency.observe(response.value().seconds);
         const std::vector<serving::Neighbor>& got =

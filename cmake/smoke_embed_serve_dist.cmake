@@ -150,15 +150,14 @@ launch_server(parent --strategy dist-router
 # Healthy phase: closed-loop queries through the scatter-merge path plus
 # the /metrics scrape. Any non-200 fails the bench.
 run_step("bench --connect (healthy 3-shard scatter)"
-         ${SERVE_BENCH} --connect 127.0.0.1:${parent_port} --rows 64 --k 5
-         --requests 64 --concurrency 1,2)
+         ${SERVE_BENCH} --connect 127.0.0.1:${parent_port})
 
 # The crash: shard 1 dies mid-service, no goodbye. The parent must keep
 # answering 200 with the partial merge annotated and the breaker must
 # open — bench --expect-degraded polls for exactly that.
 execute_process(COMMAND sh -c "kill -9 ${child1_pid} 2>/dev/null")
 run_step("bench --expect-degraded (child 1 killed)"
-         ${SERVE_BENCH} --connect 127.0.0.1:${parent_port} --k 5
+         ${SERVE_BENCH} --connect 127.0.0.1:${parent_port}
          --expect-degraded)
 
 # The recovery: the child comes back on its ORIGINAL port (the backend
@@ -167,13 +166,12 @@ run_step("bench --expect-degraded (child 1 killed)"
 launch_server(child1 --shard 1/3 --strategy exact --port ${child1_port}
               --chaos-delay-ms 1 --chaos-seed 7)
 run_step("bench --expect-recovered (child 1 restarted)"
-         ${SERVE_BENCH} --connect 127.0.0.1:${parent_port} --k 5
+         ${SERVE_BENCH} --connect 127.0.0.1:${parent_port}
          --expect-recovered)
 
 # Full merges are load-worthy again; then the remote shutdown.
 run_step("bench --connect (recovered) + shutdown"
-         ${SERVE_BENCH} --connect 127.0.0.1:${parent_port} --rows 64 --k 5
-         --requests 64 --concurrency 2 --shutdown)
+         ${SERVE_BENCH} --connect 127.0.0.1:${parent_port} --shutdown)
 
 # Clean shutdown is part of the contract: the parent must be GONE.
 set(waited 0)

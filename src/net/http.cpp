@@ -153,13 +153,16 @@ std::string_view reason_phrase(int status) {
 }
 
 std::size_t find_header_end(std::string_view buffer) {
-  const std::size_t crlf = buffer.find("\r\n\r\n");
-  const std::size_t lf = buffer.find("\n\n");
-  if (crlf == std::string_view::npos && lf == std::string_view::npos)
-    return std::string_view::npos;
-  if (crlf == std::string_view::npos) return lf + 2;
-  if (lf == std::string_view::npos || crlf < lf) return crlf + 4;
-  return lf + 2;
+  // One pass over the line feeds: the blank line after a line's LF is
+  // "\n" or "\r\n", so "\n\r\n" covers CRLFCRLF and the LF-lines-then-
+  // CRLF-blank mix alike. The first LF followed by one ends the head.
+  for (std::size_t lf = buffer.find('\n'); lf != std::string_view::npos;
+       lf = buffer.find('\n', lf + 1)) {
+    const std::string_view rest = buffer.substr(lf + 1);
+    if (rest.starts_with('\n')) return lf + 2;
+    if (rest.starts_with("\r\n")) return lf + 3;
+  }
+  return std::string_view::npos;
 }
 
 api::Status parse_request_head(std::string_view head, HttpRequest& out) {

@@ -78,8 +78,9 @@ void stamp_request_id(HttpResponse& response, const std::string& request_id);
 /// "Status" for codes off the map.
 std::string_view reason_phrase(int status);
 
-/// Byte offset one past the CRLFCRLF (or LFLF) terminating the header
-/// block, or npos while the block is still incomplete.
+/// Byte offset one past the earliest blank line terminating the header
+/// block (a line's LF followed by "\n" or "\r\n": LFLF, CRLFCRLF or a
+/// mix), or npos while the block is still incomplete.
 std::size_t find_header_end(std::string_view buffer);
 
 /// Parses "METHOD target HTTP/1.x\r\nName: value\r\n..." — the request

@@ -68,7 +68,6 @@ class ShardRouter final : public QueryService {
   api::Result<std::vector<float>> row_vector(vid_t v) const override;
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
-  std::size_t num_children() const noexcept { return shards_.size(); }
   /// The replica set behind `shard`; "dist-router" only.
   ReplicaSet& replicas(std::size_t shard) noexcept {
     return *shards_[shard].replicas;

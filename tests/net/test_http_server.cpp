@@ -398,10 +398,14 @@ TEST(HttpServer, RateLimiterSheds429WithRetryAfter) {
   EXPECT_EQ(health.value().status, 200);
   EXPECT_GE(fixture.metrics.counter("gosh_http_rate_limited_total").value(),
             1u);
+  // The exposition's sample line, not just its "# TYPE" line, counts it.
   auto metrics = client.get("/metrics");
   ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(metrics.value().body.find("gosh_http_rate_limited_total"),
-            std::string::npos);
+  const std::string& text = metrics.value().body;
+  const std::string sample = "\ngosh_http_rate_limited_total ";
+  const std::size_t at = text.find(sample);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_GE(std::strtod(text.c_str() + at + sample.size(), nullptr), 1.0);
 }
 
 TEST(HttpServer, PerConnectionLimiterShedsAHotClient) {

@@ -49,13 +49,14 @@ void expect_well_formed(const HttpRequest& request, const std::string& input) {
 }
 
 /// find_header_end's contract: npos, or the end of the EARLIEST blank
-/// line terminator (so no shorter prefix holds one).
+/// line terminator (so no shorter prefix holds one). The blank line is
+/// "\n" or "\r\n" after a line's LF, so "\n\r\n" also covers CRLFCRLF.
 void expect_header_end_contract(std::string_view buffer) {
   const std::size_t end = find_header_end(buffer);
   if (end == std::string_view::npos) return;
   ASSERT_LE(end, buffer.size());
   const std::string_view head = buffer.substr(0, end);
-  EXPECT_TRUE(head.ends_with("\n\n") || head.ends_with("\r\n\r\n"));
+  EXPECT_TRUE(head.ends_with("\n\n") || head.ends_with("\n\r\n"));
   EXPECT_EQ(find_header_end(buffer.substr(0, end - 1)),
             std::string_view::npos);
 }
@@ -125,6 +126,13 @@ TEST(HttpTorture, BareLineFeedsAreLineEnds) {
   EXPECT_EQ(find_header_end(reverse), reverse.size());
   ASSERT_TRUE(parse_request_head(reverse, request).is_ok());
   EXPECT_EQ(*request.header("Host"), "c");
+  // LF-ended lines closed by a CRLF blank line: the parser takes it, so
+  // the framer must end the head there instead of waiting for more bytes.
+  const std::string lf_then_crlf = "GET / HTTP/1.1\nHost: x\n\r\n";
+  EXPECT_EQ(find_header_end(lf_then_crlf), lf_then_crlf.size());
+  ASSERT_TRUE(parse_request_head(lf_then_crlf, request).is_ok());
+  EXPECT_EQ(*request.header("Host"), "x");
+  EXPECT_EQ(find_header_end("GET / HTTP/1.1\n\r\nGET /b HTTP/1.1\n\n"), 17u);
 
   // The earliest terminator wins, and the body after it is not the head.
   const std::string pipelined = "GET /a HTTP/1.1\n\nGET /b HTTP/1.1\r\n\r\n";

@@ -412,22 +412,57 @@ TEST(DistRouter, ChaosStalledShardDegradesInsideTheDeadline) {
   MetricsRegistry metrics;
   ServeOptions options = fx.parent_options();
   options.remote_deadline_ms = 300;
+  // Long enough that the shed requests below all land while the breaker
+  // is still open, so none of them dials the stalled shard again.
+  options.breaker_cooldown_ms = 400;
   auto dist = ShardRouter::open(std::move(groups), options, &metrics);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
+  ServeOptions local_options = fx.parent_options();
+  local_options.strategy = "router";
+  auto router = make_service(local_options);
+  ASSERT_TRUE(router.ok());
 
-  const auto start = std::chrono::steady_clock::now();
-  auto response = dist.value()->serve(QueryRequest::for_vertex(70, 12));
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  ASSERT_TRUE(response.ok()) << response.status().to_string();
-  EXPECT_TRUE(response.value().degraded);
-  EXPECT_FALSE(response.value().shards[0].ok);
-  EXPECT_TRUE(response.value().shards[1].ok);
-  EXPECT_TRUE(response.value().shards[2].ok);
-  // Bounded: the 300 ms budget plus scheduling slack, nowhere near a
-  // stall-forever.
-  EXPECT_LT(elapsed, 1500);
+  // The first request waits out the deadline on shard 0 and opens its
+  // breaker (breaker_failures = 1); the next ones shed the shard without
+  // dialing it, so they finish well inside one deadline. Every answer is
+  // an annotated partial merge, never an error.
+  const QueryRequest request = QueryRequest::for_vertex(70, 12);
+  constexpr int kRequests = 4;
+  for (int i = 0; i < kRequests; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto response = dist.value()->serve(request);
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    ASSERT_TRUE(response.ok()) << response.status().to_string();
+    EXPECT_TRUE(response.value().degraded) << "request " << i;
+    EXPECT_FALSE(response.value().shards[0].ok) << "request " << i;
+    EXPECT_TRUE(response.value().shards[1].ok) << "request " << i;
+    EXPECT_TRUE(response.value().shards[2].ok) << "request " << i;
+    // Bounded: the 300 ms budget plus scheduling slack, nowhere near a
+    // stall-forever; once shed, not even one budget.
+    EXPECT_LT(elapsed, i == 0 ? 1500 : 300) << "request " << i;
+  }
+  EXPECT_EQ(metrics.counter("gosh_remote_degraded_responses_total").value(),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_GE(metrics.counter("gosh_remote_breaker_open_total").value(), 1u);
+
+  // Un-stalled, the shard is admitted again by one half-open probe after
+  // the cooldown, and the merge is whole and bit-identical to the
+  // in-process "router".
+  children[0]->server().fault_injector().configure(net::FaultOptions{});
+  std::this_thread::sleep_for(std::chrono::milliseconds(450));
+  dist.value()->replicas(0).probe_now();
+  EXPECT_EQ(dist.value()->replicas(0).breaker_state(0),
+            CircuitBreaker::State::kClosed);
+  auto recovered = dist.value()->serve(request);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_FALSE(recovered.value().degraded);
+  auto expected = router.value()->serve(request);
+  ASSERT_TRUE(expected.ok());
+  expect_identical(recovered.value().results.front(),
+                   expected.value().results.front(), "un-stalled merge");
 }
 
 }  // namespace

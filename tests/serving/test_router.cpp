@@ -73,7 +73,7 @@ TEST(Router, OpensOneChildPerShardGroup) {
   ShardedFixture fx;
   auto router = ShardRouter::open(fx.options(fx.sharded_path));
   ASSERT_TRUE(router.ok()) << router.status().to_string();
-  EXPECT_EQ(router.value()->num_children(), fx.shard_count);
+  EXPECT_EQ(router.value()->shard_count(), fx.shard_count);
   EXPECT_EQ(router.value()->rows(), fx.rows);
   EXPECT_EQ(router.value()->dim(), fx.dim);
   EXPECT_EQ(router.value()->strategy_name(), "router");
